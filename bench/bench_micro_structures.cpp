@@ -8,10 +8,9 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "hashtable/accumulator.hpp"
-#include "hashtable/grouped_map.hpp"
-#include "hashtable/spa.hpp"
 #include "contraction/plan.hpp"
+#include "hashtable/spa.hpp"
+#include "simd/swiss_table.hpp"
 #include "tensor/csf.hpp"
 #include "tensor/generators.hpp"
 #include "tensor/hicoo.hpp"
@@ -24,7 +23,7 @@ namespace {
 
 void BM_HtyProbe(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  GroupedHashMap m(n);
+  simd::SwissYMap m(n);
   Rng rng(1);
   std::vector<lnkey_t> keys(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -62,7 +61,7 @@ BENCHMARK(BM_CooLinearScan)->Range(1 << 10, 1 << 18);
 void BM_HtaAccumulate(benchmark::State& state) {
   const auto distinct = static_cast<std::size_t>(state.range(0));
   Rng rng(3);
-  HashAccumulator acc(distinct);
+  simd::SwissAccumulator acc(distinct);
   for (auto _ : state) {
     acc.accumulate(rng.uniform(distinct), 1.0);
   }

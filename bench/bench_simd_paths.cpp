@@ -1,38 +1,23 @@
-// SIMD paths: swiss-table HtY probing vs the chained baseline, and the
-// end-to-end effect on a full Sparta contraction.
+// SIMD paths: the swiss HtY probe loop and a full Sparta contraction
+// under the active SIMD tier. Run it once with SPARTA_SIMD=scalar and
+// once with the default tier to compare the group-compare kernels.
 //
-// The gated "probe" cases time the HtY find loop directly — table built
-// once outside the timed region, single thread — so the measurement is
-// the probe and nothing else (inside a 2-thread contraction the stage-②
-// loop saturates memory bandwidth and the table layouts converge). The
-// key stream is deterministic and miss-dominated (~31/32), the
-// sparse-contraction norm (stats.hits typically runs well below
-// stats.searches) and exactly where the flat table's compact control
-// array pays off: a miss resolves inside the 1-byte-per-slot ctrl
-// vector without touching the 24-byte-per-bucket chain headers. The
-// miss-heavy mix also keeps the gate margin well clear of timing noise
-// (the layouts measure ~1.4x at 50% misses but ~2x-3x miss-dominated,
-// against the 1.2x the CI gate demands).
+// The "probe" case times the HtY find loop directly — table built once
+// outside the timed region, single thread — so the measurement is the
+// probe and nothing else (inside a 2-thread contraction the stage-②
+// loop saturates memory bandwidth). The key stream is deterministic
+// and miss-dominated (~31/32), the sparse-contraction norm
+// (stats.hits typically runs well below stats.searches): a miss
+// resolves inside the 1-byte-per-slot control array.
 //
-//   bench_simd_paths [--table chained|swiss] [bench flags]
-//
-// Without --table, one report carries both implementations as separate
-// cases (the committed-baseline shape). With --table, the single case
-// is named "probe" so two single-table reports pair by case name:
-//
-//   bench_simd_paths --table chained --json SIMD_chained.json --smoke
-//   bench_simd_paths --table swiss   --json SIMD_swiss.json   --smoke
-//   sparta_perfdiff --threshold -17% SIMD_chained.json SIMD_swiss.json
-//
-// The negative threshold makes CI fail unless swiss is >= 1.2x chained.
+//   bench_simd_paths [bench flags]
+
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "common/format.hpp"
-#include "hashtable/grouped_map.hpp"
 #include "simd/swiss_table.hpp"
 
 namespace {
@@ -58,10 +43,9 @@ std::vector<lnkey_t> make_probe_keys(std::size_t n) {
 /// Times the find loop over `keys` (best of `reps`, single thread) and,
 /// when --json is active, appends a report case whose stage time is all
 /// index search and whose counters are the real probe/hit tallies.
-template <typename Table>
-double time_probe_loop(const Table& t, const std::vector<lnkey_t>& keys,
-                       std::size_t num_keys, int reps,
-                       const std::string& label) {
+double time_probe_loop(const simd::SwissYMap& t,
+                       const std::vector<lnkey_t>& keys, std::size_t num_keys,
+                       int reps, const std::string& label) {
   double best = 1e300;
   std::vector<double> all_secs;
   all_secs.reserve(static_cast<std::size_t>(reps));
@@ -108,40 +92,23 @@ double time_probe_loop(const Table& t, const std::vector<lnkey_t>& keys,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --table is this bench's own flag; strip it before the shared parser
-  // (which rejects anything it does not know).
-  std::string table;
-  std::vector<char*> rest;
-  rest.reserve(static_cast<std::size_t>(argc));
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--table") == 0 && i + 1 < argc) {
-      table = argv[++i];
-      continue;
-    }
-    rest.push_back(argv[i]);
-  }
-  if (!table.empty() && table != "chained" && table != "swiss") {
-    std::fprintf(stderr, "%s: --table must be 'chained' or 'swiss'\n",
-                 argv[0]);
-    return 2;
-  }
-  parse_cli(static_cast<int>(rest.size()), rest.data());
-  print_header("SIMD paths: swiss-table probing vs chained HtY/HtA",
-               "16-wide group probing beats pointer-chasing chains on "
-               "the probe-dominated index-search loop");
+  parse_cli(argc, argv);
+  print_header("SIMD paths: swiss-table HtY probing and end to end",
+               "16-wide group probing on the probe-dominated "
+               "index-search loop");
   std::printf("active SIMD tier: %s\n\n",
               simd::isa_name(simd::active_isa()).data());
 
-  // Sized so the chained baseline stays comfortably above perfdiff's
-  // --min-seconds floor even in smoke mode (the gate must engage).
+  // Sized so the probe loop stays above perfdiff's --min-seconds floor
+  // on slow runners even in smoke mode.
   const std::size_t n =
       smoke_mode()
           ? (std::size_t{1} << 18)
           : static_cast<std::size_t>(
                 static_cast<double>(std::size_t{1} << 20) *
                 std::max(0.25, scale_from_env()));
-  // The probe pair feeds a perf gate; best-of-1 cold-cache timing has
-  // ~40% run-to-run noise, so always take a few warm repeats.
+  // Best-of-1 cold-cache timing has ~40% run-to-run noise, so always
+  // take a few warm repeats.
   const int reps = std::max(6, repeats_from_env());
   const std::vector<lnkey_t> keys = make_probe_keys(n);
 
@@ -149,53 +116,19 @@ int main(int argc, char** argv) {
               n, keys.size());
   std::printf("%-16s %14s\n", "case", "best");
 
-  double t_chained = 0.0;
-  double t_swiss = 0.0;
-  for (const bool swiss : {false, true}) {
-    if (!table.empty() && swiss != (table == "swiss")) continue;
-    // Single case name under --table so two single-table reports pair
-    // by case name in sparta_perfdiff.
-    const std::string label =
-        table.empty() ? (swiss ? "probe_swiss" : "probe_chained") : "probe";
-    double secs = 0.0;
-    if (swiss) {
-      simd::SwissYMap t(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        t.insert(2 * i, FreeItem{0, 1.0});
-      }
-      secs = time_probe_loop(t, keys, n, reps, label);
-    } else {
-      GroupedHashMap t(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        t.insert(2 * i, FreeItem{0, 1.0});
-      }
-      secs = time_probe_loop(t, keys, n, reps, label);
-    }
-    (swiss ? t_swiss : t_chained) = secs;
-    std::printf("%-16s %14s\n", label.c_str(),
-                format_seconds(secs).c_str());
-  }
-  if (table.empty() && t_chained > 0.0 && t_swiss > 0.0) {
-    std::printf("\nprobe speedup (chained / swiss): %.2fx\n",
-                t_chained / t_swiss);
-  }
+  simd::SwissYMap t(n);
+  for (std::size_t i = 0; i < n; ++i) t.insert(2 * i, FreeItem{0, 1.0});
+  const double secs = time_probe_loop(t, keys, n, reps, "probe");
+  std::printf("%-16s %14s\n", "probe", format_seconds(secs).c_str());
 
-  // End-to-end contrast (only in the both-tables shape): a full Sparta
-  // contraction on a real dataset case, HtY build included. Too small
-  // to clear the CI gate's noise floor — tracked, not gated.
-  if (table.empty()) {
-    const SpTCCase c =
-        make_sptc_case("chicago", 2, 0.5 * scale_from_env());
-    for (const bool swiss : {false, true}) {
-      ContractOptions o;
-      o.algorithm = Algorithm::kSparta;
-      o.use_swiss_tables = swiss;
-      const std::string label = swiss ? "e2e_swiss" : "e2e_chained";
-      const TimedRun run = time_contraction(c.x, c.y, c.cx, c.cy, o,
-                                            std::min(2, reps), label);
-      std::printf("%-16s %14s\n", label.c_str(),
-                  format_seconds(run.seconds).c_str());
-    }
-  }
+  // End to end: a full Sparta contraction on a real dataset case, HtY
+  // build included. Too small to clear the CI gate's noise floor —
+  // tracked, not gated.
+  const SpTCCase c = make_sptc_case("chicago", 2, 0.5 * scale_from_env());
+  ContractOptions o;
+  o.algorithm = Algorithm::kSparta;
+  const TimedRun run =
+      time_contraction(c.x, c.y, c.cx, c.cy, o, std::min(2, reps), "e2e");
+  std::printf("%-16s %14s\n", "e2e", format_seconds(run.seconds).c_str());
   return 0;
 }

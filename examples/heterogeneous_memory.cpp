@@ -2,6 +2,7 @@
 // SpTC the way Sparta does (§4.2) — estimate object sizes *before*
 // allocation with Eq. 5/6, fill DRAM by priority, then compare the plan
 // against application-agnostic policies on the cost model.
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -9,6 +10,7 @@
 #include "contraction/contract.hpp"
 #include "contraction/estimators.hpp"
 #include "memsim/cost_model.hpp"
+#include "simd/swiss_table.hpp"
 #include "tensor/datasets.hpp"
 
 int main() {
@@ -19,12 +21,11 @@ int main() {
               c.x.summary().c_str(), c.y.summary().c_str());
 
   // --- placement-time estimates (before any allocation) ---------------
-  std::size_t buckets = 16;
-  while (buckets < c.y.nnz()) buckets <<= 1;
-  const std::size_t hty_est =
-      estimate_hty_bytes(c.y.nnz(), c.y.order(), buckets);
-  std::printf("Eq. 5 estimate of HtY: %s (nnzY=%zu, buckets=%zu)\n",
-              format_bytes(hty_est).c_str(), c.y.nnz(), buckets);
+  const std::size_t key_space = hty_key_space(c.y.dims(), c.cy);
+  const std::size_t hty_est = estimate_hty_bytes(c.y.nnz(), key_space);
+  std::printf("Eq. 5 estimate of HtY: %s (nnzY=%zu, slots=%zu)\n",
+              format_bytes(hty_est).c_str(), c.y.nnz(),
+              simd::swiss_slots_for(std::min(c.y.nnz(), key_space)));
 
   // --- instrumented run ------------------------------------------------
   ContractOptions o;
@@ -33,9 +34,8 @@ int main() {
   const ContractResult res = contract(c.x, c.y, c.cx, c.cy, o);
   const AccessProfile& p = res.profile;
 
-  const std::size_t hta_bound = estimate_hta_bytes(
-      res.stats.max_x_subtensor, res.stats.max_y_group,
-      /*num_free_y=*/c.y.order() - static_cast<int>(c.cy.size()), 1024);
+  const std::size_t hta_bound =
+      estimate_hta_bytes(res.stats.max_x_subtensor, res.stats.max_y_group);
   std::printf("Eq. 6 bound on per-thread HtA: %s (measured %s)\n",
               format_bytes(hta_bound).c_str(),
               format_bytes(res.stats.hta_bytes).c_str());

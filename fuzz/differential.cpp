@@ -125,38 +125,6 @@ DiffReport run_differential(const FuzzCase& c, const DiffOptions& opts) {
     }
   }
 
-  // --- Sparta with the open-addressing accumulator ---------------------
-  try {
-    ContractOptions o;
-    o.algorithm = Algorithm::kSparta;
-    o.use_linear_probe_hta = true;
-    o.num_threads = opts.num_threads;
-    const ContractResult r = contract(c.x, c.y, c.cx, c.cy, o);
-    ++rep.variants_run;
-    check_pipeline_invariants("HtY+HtA(linear-probe)", r, true);
-    compare("HtY+HtA(linear-probe)", r.z);
-  } catch (const std::exception& e) {
-    fail("HtY+HtA(linear-probe)", std::string("threw: ") + e.what());
-  }
-
-  // --- the swiss-table paths (SIMD-probed HtY/HtA) ---------------------
-  for (Algorithm alg :
-       {Algorithm::kSparta, Algorithm::kCooHta, Algorithm::kCooBinary}) {
-    const std::string name = std::string(algorithm_name(alg)) + "(swiss)";
-    try {
-      ContractOptions o;
-      o.algorithm = alg;
-      o.use_swiss_tables = true;
-      o.num_threads = opts.num_threads;
-      const ContractResult r = contract(c.x, c.y, c.cx, c.cy, o);
-      ++rep.variants_run;
-      check_pipeline_invariants(name, r, true);
-      compare(name, r.z);
-    } catch (const std::exception& e) {
-      fail(name, std::string("threw: ") + e.what());
-    }
-  }
-
   // --- prebuilt-plan entry point and the CSF path ----------------------
   try {
     const YPlan plan(c.y, c.cy);
@@ -227,7 +195,7 @@ DiffReport run_differential(const FuzzCase& c, const DiffOptions& opts) {
     }
   }
 
-  // --- determinism: repeat run and cross-thread agreement --------------
+  // --- determinism: repeat run and cross-thread agreement, both exact ---
   try {
     ContractOptions o1;
     o1.num_threads = 1;
@@ -240,7 +208,7 @@ DiffReport run_differential(const FuzzCase& c, const DiffOptions& opts) {
     ContractOptions o3;
     o3.num_threads = 3;
     const SparseTensor zc = contract_tensor(c.x, c.y, c.cx, c.cy, o3);
-    if (!SparseTensor::approx_equal(za, zc, 1e-12)) {
+    if (!SparseTensor::approx_equal(za, zc, 0.0)) {
       fail("determinism", "1-thread and 3-thread results differ");
     }
   } catch (const std::exception& e) {
@@ -305,55 +273,39 @@ DiffReport run_isa_differential(const FuzzCase& c) {
     rep.findings.push_back({std::move(variant), std::move(what)});
   };
 
-  // Every algorithm path × table choice, replayed scalar-vs-native with
-  // a BITWISE compare. Single-threaded: with >1 thread the parallel HtY
-  // build interleaves items nondeterministically, so floating-point sum
-  // order varies run to run regardless of ISA — the ISA invariant is
-  // only defined where the engine itself is deterministic.
-  struct Cell {
-    Algorithm algorithm;
-    bool swiss;
-    bool linear_probe;
-    const char* suffix;
-  };
-  constexpr Cell kCells[] = {
-      {Algorithm::kSpa, false, false, ""},
-      {Algorithm::kCooHta, false, false, ""},
-      {Algorithm::kCooHta, true, false, "(swiss)"},
-      {Algorithm::kSparta, false, false, ""},
-      {Algorithm::kSparta, false, true, "(linear-probe)"},
-      {Algorithm::kSparta, true, false, "(swiss)"},
-      {Algorithm::kCooBinary, false, false, ""},
-      {Algorithm::kCooBinary, true, false, "(swiss)"},
-  };
-  for (const Cell& cell : kCells) {
-    const std::string name =
-        std::string(algorithm_name(cell.algorithm)) + cell.suffix;
-    try {
-      ContractOptions o;
-      o.algorithm = cell.algorithm;
-      o.use_swiss_tables = cell.swiss;
-      o.use_linear_probe_hta = cell.linear_probe;
-      o.num_threads = 1;
-      SparseTensor z_scalar;
-      {
-        simd::ScopedIsaOverride force(simd::SimdIsa::kScalar);
-        z_scalar = contract_tensor(c.x, c.y, c.cx, c.cy, o);
+  // Every algorithm, replayed scalar-vs-native with a BITWISE compare,
+  // at 1 and 2 threads.
+  constexpr Algorithm kAlgos[] = {Algorithm::kSpa, Algorithm::kCooHta,
+                                  Algorithm::kSparta, Algorithm::kCooBinary};
+  for (const Algorithm alg : kAlgos) {
+    for (const int threads : {1, 2}) {
+      const std::string name = std::string(algorithm_name(alg)) + "@" +
+                               std::to_string(threads) + "t";
+      try {
+        ContractOptions o;
+        o.algorithm = alg;
+        o.num_threads = threads;
+        SparseTensor z_scalar;
+        {
+          simd::ScopedIsaOverride force(simd::SimdIsa::kScalar);
+          z_scalar = contract_tensor(c.x, c.y, c.cx, c.cy, o);
+        }
+        SparseTensor z_native;
+        {
+          simd::ScopedIsaOverride force(simd::detect_native_isa());
+          z_native = contract_tensor(c.x, c.y, c.cx, c.cy, o);
+        }
+        ++rep.variants_run;
+        const std::string diff = bitwise_diff(z_scalar, z_native);
+        if (!diff.empty()) {
+          fail(name,
+               "scalar and " +
+                   std::string(simd::isa_name(simd::detect_native_isa())) +
+                   " outputs are not bitwise identical: " + diff);
+        }
+      } catch (const std::exception& e) {
+        fail(name, std::string("threw: ") + e.what());
       }
-      SparseTensor z_native;
-      {
-        simd::ScopedIsaOverride force(simd::detect_native_isa());
-        z_native = contract_tensor(c.x, c.y, c.cx, c.cy, o);
-      }
-      ++rep.variants_run;
-      const std::string diff = bitwise_diff(z_scalar, z_native);
-      if (!diff.empty()) {
-        fail(name, "scalar and " +
-                       std::string(simd::isa_name(simd::detect_native_isa())) +
-                       " outputs are not bitwise identical: " + diff);
-      }
-    } catch (const std::exception& e) {
-      fail(name, std::string("threw: ") + e.what());
     }
   }
   return rep;

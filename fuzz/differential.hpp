@@ -5,7 +5,6 @@
 //   * the brute-force pairing oracle (contract_reference) — ground truth
 //   * the four ContractAlgo pipeline variants: COOY+SPA, COOY+HtA,
 //     HtY+HtA (Sparta) and the binary-search COO extension
-//   * HtY+HtA with the open-addressing linear-probe accumulator
 //   * the prebuilt-YPlan entry point and the CSF-driven path
 //   * the SpGEMM lowering (2-D operands, one contract mode; all four
 //     accumulator × sizing combinations)
@@ -50,11 +49,9 @@ struct DiffReport {
                                           const DiffOptions& opts = {});
 
 /// Differential ISA sweep (`fuzz_sptc --isa-diff`): replays `c` through
-/// every (algorithm × table choice) cell twice — SPARTA_SIMD forced to
-/// scalar, then to this machine's native tier — and demands BITWISE
-/// identical outputs (exact value compare, not tolerance). Runs
-/// single-threaded: parallel HtY builds make floating-point sum order
-/// nondeterministic independent of ISA.
+/// every algorithm at 1 and 2 threads, each twice — SPARTA_SIMD forced
+/// to scalar, then to this machine's native tier — and demands BITWISE
+/// identical outputs (exact value compare, not tolerance).
 [[nodiscard]] DiffReport run_isa_differential(const FuzzCase& c);
 
 struct FaultOptions {

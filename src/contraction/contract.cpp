@@ -15,9 +15,6 @@
 #include "common/failpoint.hpp"
 #include "common/parallel.hpp"
 #include "contraction/estimators.hpp"
-#include "hashtable/accumulator.hpp"
-#include "hashtable/grouped_map.hpp"
-#include "hashtable/linear_probe.hpp"
 #include "hashtable/spa.hpp"
 #include "memsim/allocator.hpp"
 #include "obs/json.hpp"
@@ -377,9 +374,10 @@ struct ProfileInputs {
 
 void fill_access_profile(AccessProfile& p, const ContractStats& st,
                          const ProfileInputs& in) {
-  constexpr std::uint64_t kHtyProbeBytes = 32;   // bucket ptr + group header
-  constexpr std::uint64_t kHtyItemBytes = sizeof(FreeItem);
-  constexpr std::uint64_t kHtaEntryBytes = 24;   // key + value + chain slot
+  // Swiss layout (simd/swiss_table.hpp), in the estimators' sizes: a
+  // probe reads one 16-byte control group, then the slot its tag matched.
+  constexpr std::uint64_t kHtyProbeBytes = simd::kGroupWidth + kHtySlotBytes;
+  constexpr std::uint64_t kHtaEntryBytes = kSwissCtrlBytes + kHtaSlotBytes;
 
   // ① input processing: X permute+sort; Y sort (COO) or HtY build.
   add_sort_traffic(p.at(Stage::kInputProcessing, DataObject::kX), st.nnz_x,
@@ -387,12 +385,14 @@ void fill_access_profile(AccessProfile& p, const ContractStats& st,
   if (in.alg == Algorithm::kSparta) {
     auto& y = p.at(Stage::kInputProcessing, DataObject::kY);
     y.bytes_read_seq += st.nnz_y * in.y_row_bytes;
-    // Building HtY probes the bucket chain (read) then appends (write).
+    // Each insert probes (control group + slot), then appends its item;
+    // a new key also claims a slot (control byte + slot).
     auto& hty = p.at(Stage::kInputProcessing, DataObject::kHtY);
     hty.bytes_read_rand += st.nnz_y * kHtyProbeBytes;
-    hty.rand_reads += st.nnz_y;
-    hty.bytes_written_rand += st.nnz_y * (kHtyProbeBytes + kHtyItemBytes);
-    hty.rand_writes += st.nnz_y;
+    hty.rand_reads += st.nnz_y * 2;
+    hty.bytes_written_rand += st.nnz_y * kHtyItemBytes +
+                              st.num_y_keys * (kSwissCtrlBytes + kHtySlotBytes);
+    hty.rand_writes += st.nnz_y + st.num_y_keys;
   } else {
     add_sort_traffic(p.at(Stage::kInputProcessing, DataObject::kY), st.nnz_y,
                      in.y_row_bytes);
@@ -404,10 +404,10 @@ void fill_access_profile(AccessProfile& p, const ContractStats& st,
     auto& x = p.at(Stage::kIndexSearch, DataObject::kX);
     x.bytes_read_seq += st.nnz_x * in.x_row_bytes;
     if (in.alg == Algorithm::kSparta) {
-      // Each probe walks the bucket pointer plus on average one chain
-      // node — two dependent random reads.
+      // Each probe reads one control group, then one slot — two
+      // dependent random reads.
       auto& hty = p.at(Stage::kIndexSearch, DataObject::kHtY);
-      hty.bytes_read_rand += st.searches * 2 * kHtyProbeBytes;
+      hty.bytes_read_rand += st.searches * kHtyProbeBytes;
       hty.rand_reads += st.searches * 2;
     } else {
       auto& y = p.at(Stage::kIndexSearch, DataObject::kY);
@@ -470,15 +470,6 @@ struct CapacityGuard {
     if (reg) reg->set_capacity(prev);
   }
 };
-
-// Smallest power of two >= max(want, 16) — mirrors the bucket sizing of
-// GroupedHashMap / HashAccumulator so pre-flight estimates use the same
-// bucket counts the real tables will.
-std::size_t pow2_buckets(std::size_t want) {
-  std::size_t b = 16;
-  while (b < want) b <<= 1;
-  return b;
-}
 
 ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
                              const YPlan* plan, const Modes& cx,
@@ -646,17 +637,9 @@ ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
         px.t.footprint_bytes() +
             (hty_external
                  ? 0
-                 : estimate_hty_bytes(
-                       res.stats.nnz_y,
-                       y ? y->order()
-                         : static_cast<int>(plan->y_dims().size()),
-                       pow2_buckets(opts.hty_buckets > 0
-                                        ? opts.hty_buckets
-                                        : res.stats.nnz_y))));
+                 : estimate_hty_bytes(res.stats.nnz_y, clin.size())));
     if (!active_plan) {
-      plan_local = std::make_unique<YPlan>(*y, cy, opts.hty_buckets,
-                                           nthreads, opts.use_swiss_tables,
-                                           opts.cancel);
+      plan_local = std::make_unique<YPlan>(*y, cy, opts.cancel);
       active_plan = plan_local.get();
     }
     fylin = &active_plan->fy_indexer();
@@ -695,11 +678,9 @@ ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
   // accumulator is touched. The bound is per thread; every thread owns
   // one accumulator.
   if (budgeted && opts.budget.preflight) {
-    const std::size_t hta_buckets = pow2_buckets(
-        std::max<std::size_t>(res.stats.max_y_group, 64));
     const std::size_t est_hta =
-        estimate_hta_bytes(res.stats.max_x_subtensor, res.stats.max_y_group,
-                           static_cast<int>(nfy), hta_buckets) *
+        estimate_hta_bytes(res.stats.max_x_subtensor,
+                           res.stats.max_y_group) *
         static_cast<std::size_t>(nthreads);
     preflight_gate("inputs + HtA (Eq. 6)",
                    x_charge.charged() + y_charge.charged() + est_hta);
@@ -727,19 +708,23 @@ ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
   for (int t = 0; t < nthreads; ++t) {
     acc_charges.emplace_back(reg, Tier::kDram, DataObject::kHtA);
   }
+  // One HtA per thread for the hash-table variants, reused across that
+  // thread's sub-tensors. Sized for the largest HtY group (when known),
+  // which keeps Eq. 6's slot count an upper bound on where it grows to.
+  std::vector<simd::SwissAccumulator> accs;
+  if (opts.algorithm != Algorithm::kSpa) {
+    accs.assign(static_cast<std::size_t>(nthreads),
+                simd::SwissAccumulator(res.stats.max_y_group));
+  }
 
   if (opts.algorithm == Algorithm::kSparta) {
-    // Generic over both the accumulator type (chained / linear-probe /
-    // swiss) and the HtY map (chained / swiss) so every variant shares
-    // the exact same body.
-    auto run_sparta = [&]<typename AccT>(std::vector<AccT>& accs,
-                                         const auto& hty_map) {
+    const simd::SwissYMap& hty = active_plan->hty();
     parallel_over_subtensors(
         px, nthreads, opts.ablation_shared_writeback, zlocals, times, reg,
         opts.cancel,
         [&](std::size_t tid, std::size_t b, std::size_t e, ZLocal& zl,
             ThreadTimes& tt) {
-          AccT& acc = accs[tid];
+          simd::SwissAccumulator& acc = accs[tid];
           acc.clear();
           std::vector<index_t> ctuple(m);
           std::vector<HtMatch> matches;
@@ -756,7 +741,7 @@ ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
               ctuple[k] = px.t.index(i, static_cast<int>(nfx + k));
             }
             const lnkey_t key = clin.linearize(ctuple);
-            const auto items = hty_map.find(key);
+            const auto items = hty.find(key);
             ++searches;
             if (!items.empty()) {
               ++hits;
@@ -811,33 +796,6 @@ ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
                        static_cast<std::uint64_t>(acc.footprint_bytes())),
               std::memory_order_relaxed);
         });
-    };
-    const std::size_t acc_hint =
-        std::max<std::size_t>(res.stats.max_y_group, 64);
-    // The plan's table kind governs HtY (an externally built plan may
-    // differ from opts); the options govern the per-thread HtA.
-    auto run_with_hty = [&](auto& accs) {
-      if (active_plan->uses_swiss()) {
-        run_sparta(accs, active_plan->swiss_hty());
-      } else {
-        run_sparta(accs, active_plan->hty());
-      }
-    };
-    if (opts.use_swiss_tables) {
-      std::vector<simd::SwissAccumulator> accs(
-          static_cast<std::size_t>(nthreads),
-          simd::SwissAccumulator(acc_hint));
-      run_with_hty(accs);
-    } else if (opts.use_linear_probe_hta) {
-      std::vector<LinearProbeAccumulator> accs(
-          static_cast<std::size_t>(nthreads),
-          LinearProbeAccumulator(acc_hint));
-      run_with_hty(accs);
-    } else {
-      std::vector<HashAccumulator> accs(static_cast<std::size_t>(nthreads),
-                                        HashAccumulator(acc_hint));
-      run_with_hty(accs);
-    }
     // Accumulator footprint: per-thread peak × thread count.
     res.stats.hta_bytes =
         static_cast<std::size_t>(acc_bytes.load()) *
@@ -845,15 +803,12 @@ ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
   } else if (opts.algorithm == Algorithm::kCooHta ||
              opts.algorithm == Algorithm::kCooBinary) {
     const bool binary = opts.algorithm == Algorithm::kCooBinary;
-    // Generic over the accumulator so use_swiss_tables swaps the HtA
-    // here exactly as it does on the Sparta path.
-    auto run_coo = [&]<typename AccT>(std::vector<AccT>& accs) {
     parallel_over_subtensors(
         px, nthreads, opts.ablation_shared_writeback, zlocals, times, reg,
         opts.cancel,
         [&](std::size_t tid, std::size_t b, std::size_t e, ZLocal& zl,
             ThreadTimes& tt) {
-          AccT& acc = accs[tid];
+          simd::SwissAccumulator& acc = accs[tid];
           acc.clear();
           std::vector<index_t> ctuple(m);
           std::vector<CooMatch> matches;
@@ -938,16 +893,6 @@ ContractResult contract_impl(const SparseTensor& x, const SparseTensor* y,
                        static_cast<std::uint64_t>(acc.footprint_bytes())),
               std::memory_order_relaxed);
         });
-    };
-    if (opts.use_swiss_tables) {
-      std::vector<simd::SwissAccumulator> accs(
-          static_cast<std::size_t>(nthreads), simd::SwissAccumulator(64));
-      run_coo(accs);
-    } else {
-      std::vector<HashAccumulator> accs(static_cast<std::size_t>(nthreads),
-                                        HashAccumulator(64));
-      run_coo(accs);
-    }
     res.stats.hta_bytes =
         static_cast<std::size_t>(acc_bytes.load()) *
         static_cast<std::size_t>(nthreads);

@@ -9,9 +9,9 @@
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "common/timer.hpp"
-#include "hashtable/accumulator.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "simd/swiss_table.hpp"
 #include "tensor/csf.hpp"
 #include "tensor/linearize.hpp"
 
@@ -183,12 +183,11 @@ ContractResult contract_csf(const SparseTensor& x, const YPlan& plan,
     const auto tid = static_cast<std::size_t>(thread_id());
     // Built under the guard: every thread must still reach the `omp for`
     // below even if an accumulator constructor throws.
-    std::unique_ptr<HashAccumulator> acc;
+    std::unique_ptr<simd::SwissAccumulator> acc;
     std::vector<Match> matches;
     std::vector<index_t> fyc;
     compute_ec.run([&] {
-      acc = std::make_unique<HashAccumulator>(
-          std::max<std::size_t>(plan.max_group(), 64));
+      acc = std::make_unique<simd::SwissAccumulator>(plan.max_group());
       fyc.resize(std::max<std::size_t>(nfy, 1));
     });
     std::uint64_t searches = 0, hits = 0, mults = 0;

@@ -6,25 +6,36 @@
 
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
-#include "common/parallel.hpp"
+#include "contraction/estimators.hpp"
 #include "obs/trace.hpp"
 
 namespace sparta {
 
-YPlan::YPlan(const SparseTensor& y, Modes cy, std::size_t hty_buckets,
-             int num_threads, bool use_swiss_tables, CancelToken cancel) {
-  // Validate cy against y.
-  std::vector<bool> is_contract(static_cast<std::size_t>(y.order()), false);
+namespace {
+
+Modes checked_cy(const SparseTensor& y, Modes cy) {
+  std::vector<bool> seen(static_cast<std::size_t>(y.order()), false);
   for (int m : cy) {
     SPARTA_CHECK(m >= 0 && m < y.order(), "cy: contract mode out of range");
-    SPARTA_CHECK(!is_contract[static_cast<std::size_t>(m)],
+    SPARTA_CHECK(!seen[static_cast<std::size_t>(m)],
                  "cy: duplicate contract mode");
-    is_contract[static_cast<std::size_t>(m)] = true;
+    seen[static_cast<std::size_t>(m)] = true;
   }
   SPARTA_CHECK(!cy.empty(), "need at least one contract mode");
+  return cy;
+}
 
-  cy_ = std::move(cy);
-  ydims_ = y.dims();
+}  // namespace
+
+// The HtY is sized for min(nnz(y), contract key space) keys — an upper
+// bound on distinct keys — so the build never grows the table and Eq. 5
+// predicts its slot count.
+YPlan::YPlan(const SparseTensor& y, Modes cy, CancelToken cancel)
+    : cy_(checked_cy(y, std::move(cy))),
+      ydims_(y.dims()),
+      hty_(std::min(y.nnz(), hty_key_space(ydims_, cy_))) {
+  std::vector<bool> is_contract(static_cast<std::size_t>(y.order()), false);
+  for (int m : cy_) is_contract[static_cast<std::size_t>(m)] = true;
   for (int m = 0; m < y.order(); ++m) {
     if (!is_contract[static_cast<std::size_t>(m)]) {
       fy_.push_back(m);
@@ -37,61 +48,28 @@ YPlan::YPlan(const SparseTensor& y, Modes cy, std::size_t hty_buckets,
   fylin_ = LinearIndexer(fydims_.empty() ? std::vector<index_t>{1}
                                          : fydims_);
 
-  const std::size_t want =
-      hty_buckets > 0 ? hty_buckets : std::max<std::size_t>(y.nnz(), 16);
-  if (use_swiss_tables) {
-    swiss_ = std::make_unique<simd::SwissYMap>(want);
-  } else {
-    hty_ = std::make_unique<GroupedHashMap>(want);
-  }
   nnz_y_ = y.nnz();
   y_footprint_ = y.footprint_bytes();
 
-  // Covers the parallel insert loop below — the "HtY build" sub-phase of
-  // input processing (nested there when called from contract_impl).
+  // Covers the insert loop below — the "HtY build" sub-phase of input
+  // processing (nested there when called from contract_impl).
   obs::Span sp_build("build_hty");
-  const int nthreads = num_threads > 0 ? num_threads : max_threads();
-  const auto n = static_cast<std::ptrdiff_t>(y.nnz());
   const std::span<const int> cy_span(cy_);
   const std::span<const int> fy_span(fy_);
   const bool has_free = !fy_.empty();
   SPARTA_FAILPOINT("plan.build");
   cancel.check("plan.build");
-  // The two table kinds share insert_locked(key, FreeItem); the build
-  // loop is generic over whichever this plan holds.
-  auto build_into = [&](auto& table) {
-    ExceptionCollector ec;
-    // Re-establish the spawning thread's request id on the pooled team
-    // threads so cancel instants inside the build stay attributable.
-    const obs::Correlation corr = obs::current_correlation();
-#pragma omp parallel num_threads(nthreads)
-    {
-      obs::RequestIdScope rid_scope(corr);
-      std::vector<index_t> c(static_cast<std::size_t>(y.order()));
-#pragma omp for schedule(static)
-      for (std::ptrdiff_t i = 0; i < n; ++i) {
-        ec.run([&] {
-          const auto n_i = static_cast<std::size_t>(i);
-          // Strided poll: one deadline read per 256 inserts per thread
-          // keeps build cancellation latency bounded without putting an
-          // atomic load in every table insert.
-          if ((n_i & 255u) == 0) cancel.check("plan.build");
-          y.coords(n_i, c);
-          const lnkey_t ckey = clin.linearize_gather(c, cy_span);
-          const lnkey_t fkey =
-              has_free ? fylin_.linearize_gather(c, fy_span) : 0;
-          table.insert_locked(ckey, FreeItem{fkey, y.value(n_i)});
-        });
-      }
-    }
-    ec.rethrow();
-    max_group_ = table.max_group_size();
-  };
-  if (swiss_) {
-    build_into(*swiss_);
-  } else {
-    build_into(*hty_);
+  std::vector<index_t> c(static_cast<std::size_t>(y.order()));
+  for (std::size_t i = 0; i < y.nnz(); ++i) {
+    // Strided poll: one deadline read per 256 inserts keeps build
+    // cancellation latency bounded without an atomic load per insert.
+    if ((i & 255u) == 0) cancel.check("plan.build");
+    y.coords(i, c);
+    const lnkey_t ckey = clin.linearize_gather(c, cy_span);
+    const lnkey_t fkey = has_free ? fylin_.linearize_gather(c, fy_span) : 0;
+    hty_.insert(ckey, FreeItem{fkey, y.value(i)});
   }
+  max_group_ = hty_.max_group_size();
 }
 
 std::vector<ContractResult> contract_batch(

@@ -14,10 +14,7 @@
 // one-shot YPlan internally, so both paths share one implementation.
 #pragma once
 
-#include <memory>
-
 #include "contraction/options.hpp"
-#include "hashtable/grouped_map.hpp"
 #include "simd/swiss_table.hpp"
 #include "tensor/linearize.hpp"
 #include "tensor/sparse_tensor.hpp"
@@ -27,17 +24,14 @@ namespace sparta {
 
 class YPlan {
  public:
-  /// Builds HtY from `y` keyed on contract modes `cy` (validated).
-  /// `hty_buckets` 0 = auto (≈ nnz(y)); `num_threads` 0 = ambient.
-  /// `use_swiss_tables` picks the SIMD-probed swiss HtY over the
-  /// chained GroupedHashMap; the plan's table kind then governs HtY for
-  /// every contraction using it, regardless of the caller's options.
-  /// `cancel` is polled along the parallel insert loop (every 256
-  /// inserts per thread); Cancelled unwinds before the plan object
-  /// exists, so no half-built HtY can escape.
-  YPlan(const SparseTensor& y, Modes cy, std::size_t hty_buckets = 0,
-        int num_threads = 0, bool use_swiss_tables = false,
-        CancelToken cancel = {});
+  /// Builds HtY from `y` keyed on contract modes `cy` (validated), on
+  /// the calling thread, inserting Y's non-zeros in storage order — so
+  /// each key's items come back from find() in that order, and the plan
+  /// is identical whatever thread count later contracts against it.
+  /// `cancel` is polled along the insert loop (every 256 inserts);
+  /// Cancelled unwinds before the plan object exists, so no half-built
+  /// HtY can escape.
+  YPlan(const SparseTensor& y, Modes cy, CancelToken cancel = {});
 
   YPlan(const YPlan&) = delete;
   YPlan& operator=(const YPlan&) = delete;
@@ -58,21 +52,16 @@ class YPlan {
   }
 
   [[nodiscard]] std::size_t nnz_y() const { return nnz_y_; }
-  [[nodiscard]] std::size_t num_keys() const {
-    return swiss_ ? swiss_->num_keys() : hty_->num_keys();
-  }
+  [[nodiscard]] std::size_t num_keys() const { return hty_.num_keys(); }
   [[nodiscard]] std::size_t max_group() const { return max_group_; }
   [[nodiscard]] std::size_t hty_footprint_bytes() const {
-    return swiss_ ? swiss_->footprint_bytes() : hty_->footprint_bytes();
+    return hty_.footprint_bytes();
   }
   [[nodiscard]] std::size_t y_footprint_bytes() const {
     return y_footprint_;
   }
 
-  /// Which HtY representation this plan holds.
-  [[nodiscard]] bool uses_swiss() const { return swiss_ != nullptr; }
-  [[nodiscard]] const GroupedHashMap& hty() const { return *hty_; }
-  [[nodiscard]] const simd::SwissYMap& swiss_hty() const { return *swiss_; }
+  [[nodiscard]] const simd::SwissYMap& hty() const { return hty_; }
   /// Linearizer for Y's free-index tuples (HtA keys).
   [[nodiscard]] const LinearIndexer& fy_indexer() const { return fylin_; }
 
@@ -83,8 +72,7 @@ class YPlan {
   std::vector<index_t> cdims_;
   std::vector<index_t> fydims_;
   LinearIndexer fylin_;
-  std::unique_ptr<GroupedHashMap> hty_;    ///< exactly one of these
-  std::unique_ptr<simd::SwissYMap> swiss_; ///< two is populated
+  simd::SwissYMap hty_;
   std::size_t nnz_y_ = 0;
   std::size_t max_group_ = 0;
   std::size_t y_footprint_ = 0;

@@ -47,7 +47,7 @@ struct Options {
   /// Relative slowdown that gates (0.10 = +10% is a regression).
   /// NEGATIVE values demand a speedup: -0.17 gates unless the run is at
   /// least 17% faster than baseline (run ≤ 0.83×base, i.e. base/run ≥
-  /// 1.2×) — how CI asserts the swiss-table probe beats the chained one.
+  /// 1.2×) — for asserting that an optimisation keeps its speedup.
   double threshold = 0.10;
   double min_seconds = 1e-3;  ///< baseline medians below this never gate
   bool compare_counters = true;

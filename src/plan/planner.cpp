@@ -33,12 +33,6 @@ constexpr double kInfCost = std::numeric_limits<double>::infinity();
   return n;
 }
 
-[[nodiscard]] std::size_t pow2_at_least(std::size_t n) {
-  std::size_t p = 64;
-  while (p < n) p <<= 1;
-  return p;
-}
-
 [[nodiscard]] std::size_t coo_bytes(double nnz, int order) {
   const double per =
       static_cast<double>(order) * sizeof(index_t) + sizeof(value_t);
@@ -205,13 +199,12 @@ StepEst cost_step(const Ctx& ctx, Mask a, Mask b, double nnz_a,
   const LabelMask ly = est.a_is_y ? la : lb;
   const int order_x = popcount(lx);
   const int order_y = popcount(ly);
-  const int num_free_y = order_y - est.num_contract;
   const double contract_space = label_space(ctx, shared);
 
-  // Eq. 5: HtY footprint for the Y side.
+  // Eq. 5: HtY footprint for the Y side, keyed on the shared labels.
   const std::size_t rounded_y = round_nnz(nnz_y);
-  const std::size_t hty = estimate_hty_bytes(
-      rounded_y, order_y, pow2_at_least(std::max<std::size_t>(rounded_y, 64)));
+  const std::size_t hty =
+      estimate_hty_bytes(rounded_y, round_nnz(contract_space));
   // Eq. 6 upper bound with uniform group sizes: the largest X
   // sub-tensor / HtY group is estimated as nnz over distinct groups.
   const double free_space_x = label_space(ctx, lx & ~shared);
@@ -221,9 +214,7 @@ StepEst cost_step(const Ctx& ctx, Mask a, Mask b, double nnz_a,
       static_cast<std::size_t>(std::ceil(std::max(1.0, nnz_x / groups_x)));
   const auto fmax_y =
       static_cast<std::size_t>(std::ceil(std::max(1.0, nnz_y / groups_y)));
-  const std::size_t hta = estimate_hta_bytes(
-      fmax_x, fmax_y, num_free_y,
-      pow2_at_least(std::max<std::size_t>(fmax_x * fmax_y, 64)));
+  const std::size_t hta = estimate_hta_bytes(fmax_x, fmax_y);
 
   est.est_out_nnz = round_nnz(nnz_out);
   const int order_out = popcount((lx | ly) & ~shared);

@@ -17,12 +17,6 @@ namespace sparta::serve {
 
 namespace {
 
-std::size_t pow2_at_least(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
 void write_variant_stats(obs::JsonWriter& w,
                          const VariantSelector::VariantStats& s) {
   w.begin_object();
@@ -108,9 +102,7 @@ Algorithm VariantSelector::choose(const RequestFeatures& f) {
   // remaining budget (the two COO variants carry no HtY).
   std::vector<Algorithm> feasible(kVariants.begin(), kVariants.end());
   if (f.budget_remaining != 0) {
-    const std::size_t est = estimate_hty_bytes(
-        f.nnz_y, f.order_y,
-        pow2_at_least(std::max<std::size_t>(f.nnz_y, 1)));
+    const std::size_t est = estimate_hty_bytes(f.nnz_y, f.hty_key_space);
     if (est > f.budget_remaining) {
       feasible.erase(
           std::remove(feasible.begin(), feasible.end(),

@@ -18,12 +18,6 @@ namespace sparta::serve {
 
 namespace {
 
-std::size_t pow2_at_least(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
 constexpr std::size_t kUnlimited = static_cast<std::size_t>(-1);
 
 // Statlog/metrics outcome label; the enum check_statlog.py validates.
@@ -140,8 +134,6 @@ ContractionService::ContractionService(ServeConfig cfg)
                 static_cast<double>(cfg_.dram_budget_bytes) *
                 cfg_.cache_fraction);
   pc.registry = &alloc_;
-  pc.hty_buckets = cfg_.hty_buckets;
-  pc.use_swiss_tables = selector_.swiss_tables_enabled();
   cache_ = std::make_unique<PlanCache>(pc);
 
   if (!cfg_.statlog_path.empty()) {
@@ -463,8 +455,6 @@ ServeReport ContractionService::execute(const ServeRequest& req,
     o.request_id = request_id;
     o.num_threads = threads_per_request_;
     o.cancel = cancel;  // every rung polls; Cancelled aborts the ladder
-    // rung_options() strips the flag off the SPA rung.
-    o.use_swiss_tables = selector_.swiss_tables_enabled();
     const std::size_t rem = remaining_budget();
     o.budget.bytes =
         rem == kUnlimited ? 0 : std::max<std::size_t>(rem, 1);
@@ -475,6 +465,7 @@ ServeReport ContractionService::execute(const ServeRequest& req,
     r.degraded = true;
     r.resilience = rr.report.summary();
     r.variant = rr.report.serving().algorithm;
+    r.swiss_tables = r.variant != Algorithm::kSpa;
     r.stage_times = rr.result.stage_times;
     r.stats = rr.result.stats;
     r.z = std::make_shared<SparseTensor>(std::move(rr.result.z));
@@ -510,6 +501,7 @@ ServeReport ContractionService::execute(const ServeRequest& req,
   RequestFeatures feats;
   feats.nnz_x = x.nnz();
   feats.nnz_y = y.nnz();
+  feats.hty_key_space = hty_key_space(y.dims(), req.cy);
   feats.order_y = y.order();
   feats.num_contract_modes = static_cast<int>(req.cx.size());
   feats.density_x = density_of(x.nnz(), x.dims());
@@ -527,9 +519,8 @@ ServeReport ContractionService::execute(const ServeRequest& req,
   // variants — degrade (or reject) instead of failing mid-flight.
   if (variant == Algorithm::kSparta && !cached_plan &&
       remaining != kUnlimited) {
-    const std::size_t est_hty = estimate_hty_bytes(
-        y.nnz(), y.order(),
-        pow2_at_least(std::max<std::size_t>(y.nnz(), 1)));
+    const std::size_t est_hty =
+        estimate_hty_bytes(y.nnz(), hty_key_space(y.dims(), req.cy));
     if (floor_bytes + est_hty > remaining) {
       if (!cfg_.allow_degrade) {
         rep.rejected = true;
@@ -557,11 +548,8 @@ ServeReport ContractionService::execute(const ServeRequest& req,
   // Charges flow to the shared registry, whose capacity (the DRAM
   // budget) enforces the runtime gate across all concurrent requests.
   opts.registry = &alloc_;
-  // Swiss tables on every hash-table variant when a vector ISA is
-  // active; the cached plan's own table kind governs HtY either way.
-  opts.use_swiss_tables =
-      selector_.swiss_tables_enabled() && variant != Algorithm::kSpa;
-  rep.swiss_tables = opts.use_swiss_tables;
+  // Every variant but the SPA baseline runs on the swiss tables.
+  rep.swiss_tables = variant != Algorithm::kSpa;
 
   try {
     Timer t;
@@ -688,18 +676,13 @@ void ContractionService::log_request(const ServeRequest& req,
   // Predicted (Eq. 5/6, same inputs the budget gates use) next to
   // measured, so estimator error is a logged quantity, not a rerun.
   const std::size_t est_hty =
-      hy.valid() ? estimate_hty_bytes(
-                       hy.tensor->nnz(), hy.tensor->order(),
-                       pow2_at_least(
-                           std::max<std::size_t>(hy.tensor->nnz(), 1)))
+      hy.valid() ? estimate_hty_bytes(hy.tensor->nnz(),
+                                      hty_key_space(hy.tensor->dims(), req.cy))
                  : 0;
   const std::size_t est_hta =
       hy.valid() && rep.stats.max_y_group > 0
-          ? estimate_hta_bytes(
-                rep.stats.max_x_subtensor, rep.stats.max_y_group,
-                hy.tensor->order() - static_cast<int>(req.cy.size()),
-                pow2_at_least(
-                    std::max<std::size_t>(rep.stats.max_y_group, 64)))
+          ? estimate_hta_bytes(rep.stats.max_x_subtensor,
+                               rep.stats.max_y_group)
           : 0;
   w.key("est_hty_bytes").value(static_cast<std::uint64_t>(est_hty));
   w.key("est_hta_bytes").value(static_cast<std::uint64_t>(est_hta));

@@ -134,10 +134,4 @@ class ScopedIsaOverride {
   int prev_;
 };
 
-/// True when the vector group ops are worth preferring over the chained
-/// tables — the serve-layer selector's default signal.
-[[nodiscard]] inline bool vector_isa_active() {
-  return active_isa() != SimdIsa::kScalar;
-}
-
 }  // namespace sparta::simd

@@ -1,32 +1,30 @@
-// Flat open-addressing hash tables with SIMD group probing — the
-// swiss-table alternative to the chained HtY (grouped_map.hpp) and the
-// probing HtA (linear_probe.hpp / accumulator.hpp).
+// Flat open-addressing hash tables with SIMD group probing: the one HtY
+// (SwissYMap, paper §3.3) and the one hash HtA (SwissAccumulator, §3.4).
 //
-// Layout: one control byte per slot (empty 0x80 / deleted 0xFE / else
-// the low 7 bits of the hash as a tag) plus a parallel slot array.
-// Probing loads a 16-byte control group and compares all 16 tags in one
-// vector op (_mm_cmpeq_epi8 on x86, vceqq_u8 on aarch64); a miss costs
-// one cache line of metadata instead of one chained-bucket pointer
-// chase per step. The scalar fallback walks the same 16-slot groups in
-// the same ascending slot order, so every tier picks identical slots,
-// drains in identical order, and therefore accumulates floating point
-// in an identical order — forcing SPARTA_SIMD=scalar is bit-exact, the
+// Layout: one control byte per slot (empty 0x80, else the low 7 bits of
+// the hash as a tag) plus a parallel slot array. Probing loads a
+// 16-byte control group and compares all 16 tags in one vector op
+// (_mm_cmpeq_epi8 on x86, vceqq_u8 on aarch64); a miss costs one cache
+// line of metadata instead of one chained-bucket pointer chase per
+// step. The scalar fallback walks the same 16-slot groups in the same
+// ascending slot order, so every tier picks identical slots, drains in
+// identical order, and therefore accumulates floating point in an
+// identical order — forcing SPARTA_SIMD=scalar is bit-exact, the
 // invariant the isa-matrix CI job and `fuzz_sptc --isa-diff` enforce.
 //
-// ContractOptions::use_swiss_tables switches contraction onto these;
+// Neither table erases, so there are no tombstones: a slot is empty or
+// full, and an empty slot in a probed group ends the probe.
 // docs/SIMD.md covers the dispatch rules.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
-#include <mutex>
 #include <span>
+#include <utility>
 #include <vector>
 
-#include "common/error.hpp"
-#include "hashtable/grouped_map.hpp"
 #include "obs/metrics.hpp"
 #include "simd/dispatch.hpp"
 #include "tensor/types.hpp"
@@ -38,16 +36,26 @@
 #include <arm_neon.h>
 #endif
 
+namespace sparta {
+
+/// One Y non-zero as seen by the accumulation stage: its free-mode LN key
+/// and value.
+struct FreeItem {
+  lnkey_t free_key;
+  value_t val;
+};
+
+}  // namespace sparta
+
 namespace sparta::simd {
 
 /// Slots per control group — one 128-bit vector compare. Fixed across
 /// all tiers (including scalar) so probe sequences are ISA-independent.
 inline constexpr std::size_t kGroupWidth = 16;
 
-/// Control bytes. Full slots store a 7-bit tag (top bit clear), so one
-/// vector equality against the tag never matches empty or deleted.
+/// Control byte of an empty slot. Full slots store a 7-bit tag (top bit
+/// clear), so one vector equality against the tag never matches empty.
 inline constexpr std::uint8_t kCtrlEmpty = 0x80;
-inline constexpr std::uint8_t kCtrlDeleted = 0xFE;
 
 namespace detail {
 
@@ -95,10 +103,10 @@ namespace detail {
   return out;
 }
 
-/// Bitmask of empty OR deleted slots (both have the top bit set; full
-/// tags never do) — the insert-position mask.
-[[nodiscard]] inline std::uint32_t group_match_free(const std::uint8_t* ctrl,
-                                                    SimdIsa isa) {
+/// Bitmask of empty slots. Empty is the only control byte with the top
+/// bit set, so this is a sign-bit extract rather than a compare.
+[[nodiscard]] inline std::uint32_t group_match_empty(const std::uint8_t* ctrl,
+                                                     SimdIsa isa) {
 #if defined(__x86_64__) || defined(_M_X64)
   if (isa == SimdIsa::kAvx2) {
     const __m128i group =
@@ -140,99 +148,244 @@ namespace detail {
   return static_cast<std::uint8_t>((key * 0x9e3779b97f4a7c15ULL) & 0x7f);
 }
 
-/// Smallest group count (power of two) whose 7/8-load capacity holds
-/// `keys` entries.
+}  // namespace detail
+
+/// Smallest group count exponent (at least 1, i.e. 32 slots) whose
+/// 7/8-load capacity holds `keys` entries. The tables size themselves
+/// with it and grow to it, and the Eq. 5/6 estimators use it to predict
+/// their slot counts.
 [[nodiscard]] inline int swiss_group_bits_for(std::size_t keys) {
   int bits = 1;
-  while (bits < 27 &&
+  while (bits < 57 &&
          ((std::size_t{1} << bits) * kGroupWidth * 7) / 8 < keys) {
     ++bits;
   }
   return bits;
 }
 
-}  // namespace detail
+/// Slot count of a table sized for `keys` entries.
+[[nodiscard]] inline std::size_t swiss_slots_for(std::size_t keys) {
+  return kGroupWidth << swiss_group_bits_for(keys);
+}
 
-/// Swiss-table HtY: LN contract key -> dynamic array of (free key,
-/// value) items, mirroring GroupedHashMap's whole surface so
-/// YPlan/contract can hold either behind one generic code path.
-///
-/// Parallel build uses ONE table mutex (insert_locked): open addressing
-/// rehashes the entire slot array on growth, which striped locks cannot
-/// protect. The build stage is a tiny slice of contraction time and the
-/// constructor pre-sizes for the expected key count, so growth under
-/// the lock is rare; the probe-side win is what this table is for.
-class SwissYMap {
+namespace detail {
+
+/// The slot storage and probe loop both tables share. `Slot` carries a
+/// `key` member plus its payload, and names its growth counter in
+/// `kGrowCounter`.
+template <typename Slot>
+class SwissSlots {
  public:
-  explicit SwissYMap(std::size_t expected_keys) {
-    group_bits_ = detail::swiss_group_bits_for(expected_keys);
-    const std::size_t slots = num_groups() * kGroupWidth;
-    ctrl_.assign(slots, kCtrlEmpty);
-    slots_.resize(slots);
+  static constexpr std::size_t kAbsent = ~std::size_t{0};
+
+  explicit SwissSlots(std::size_t expected_keys)
+      : isa_(active_isa()), group_bits_(swiss_group_bits_for(expected_keys)) {
+    ctrl_.assign(num_groups() * kGroupWidth, kCtrlEmpty);
+    slots_.resize(ctrl_.size());
   }
 
-  /// Appends `item` to the group for `key`, creating it if absent.
-  /// NOT thread-safe; see insert_locked.
-  void insert(lnkey_t key, FreeItem item) {
-    slot_for(key).items.push_back(item);
-  }
-
-  /// Thread-safe insert under the single table mutex.
-  void insert_locked(lnkey_t key, FreeItem item) {
-    std::lock_guard<std::mutex> g(lock_);
-    slot_for(key).items.push_back(item);
-  }
-
-  /// Items for `key`, or an empty span when absent.
-  [[nodiscard]] std::span<const FreeItem> find(lnkey_t key) const {
-    const SimdIsa isa = active_isa();
-    const std::uint8_t tag = detail::swiss_h2(key);
+  /// Index of the slot holding `key`, or kAbsent. `steps` receives the
+  /// number of 16-wide groups probed.
+  [[nodiscard]] std::size_t find(lnkey_t key, std::size_t& steps) const {
+    const std::uint8_t tag = swiss_h2(key);
     const std::uint64_t group_mask = num_groups() - 1;
-    std::uint64_t g = detail::swiss_h1(key, group_bits_);
-    std::size_t steps = 0;
-    while (true) {
-      ++steps;
+    std::uint64_t g = swiss_h1(key, group_bits_);
+    for (steps = 1;; ++steps) {
       const std::uint8_t* ctrl = ctrl_.data() + g * kGroupWidth;
-      for (std::uint32_t m = detail::group_match(ctrl, tag, isa); m != 0;
+      for (std::uint32_t m = group_match(ctrl, tag, isa_); m != 0;
+           m &= m - 1) {
+        const std::size_t s =
+            g * kGroupWidth + static_cast<std::size_t>(std::countr_zero(m));
+        if (slots_[s].key == key) return s;
+      }
+      if (group_match_empty(ctrl, isa_) != 0) return kAbsent;
+      g = (g + 1) & group_mask;
+    }
+  }
+
+  /// Slot holding `key`, claiming the first empty slot on its probe path
+  /// when absent (then `inserted` is set and the caller initialises the
+  /// payload; a reused slot holds stale data from before a clear()).
+  /// Grows first when the claim would pass 7/8 load.
+  Slot& find_or_insert(lnkey_t key, bool& inserted, std::size_t& steps) {
+    const std::uint8_t tag = swiss_h2(key);
+    const std::uint64_t group_mask = num_groups() - 1;
+    std::uint64_t g = swiss_h1(key, group_bits_);
+    for (steps = 1;; ++steps) {
+      const std::uint8_t* ctrl = ctrl_.data() + g * kGroupWidth;
+      for (std::uint32_t m = group_match(ctrl, tag, isa_); m != 0;
            m &= m - 1) {
         const std::size_t s =
             g * kGroupWidth + static_cast<std::size_t>(std::countr_zero(m));
         if (slots_[s].key == key) {
-          count_probe(steps);
-          return slots_[s].items;
+          inserted = false;
+          return slots_[s];
         }
       }
-      if (detail::group_match(ctrl, kCtrlEmpty, isa) != 0) {
-        count_probe(steps);
-        return {};
+      const std::uint32_t empty = group_match_empty(ctrl, isa_);
+      if (empty != 0) {
+        if ((size_ + 1) * 8 > slots_.size() * 7) {
+          grow();
+          return find_or_insert(key, inserted, steps);
+        }
+        const std::size_t s =
+            g * kGroupWidth + static_cast<std::size_t>(std::countr_zero(empty));
+        ctrl_[s] = tag;
+        slots_[s].key = key;
+        ++size_;
+        inserted = true;
+        return slots_[s];
       }
       g = (g + 1) & group_mask;
     }
   }
 
-  [[nodiscard]] std::size_t num_keys() const { return size_; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] std::size_t num_slots() const { return slots_.size(); }
+  [[nodiscard]] const Slot& slot(std::size_t s) const { return slots_[s]; }
 
+  /// Bytes of the control and slot arrays (not what slots point to).
+  [[nodiscard]] std::size_t footprint_bytes() const {
+    return ctrl_.capacity() + slots_.capacity() * sizeof(Slot);
+  }
+
+  /// Visits every full slot in slot order — fixed by insertion history,
+  /// identical across ISA tiers.
+  template <typename F>
+  void for_each(F&& f) const {
+    // One group-wide compare per 16 slots, so a sparsely filled table
+    // (a reused HtA after a small sub-tensor) drains in O(groups).
+    for (std::size_t g = 0; g < ctrl_.size(); g += kGroupWidth) {
+      for (std::uint32_t m =
+               ~group_match_empty(ctrl_.data() + g, isa_) & 0xffffu;
+           m != 0; m &= m - 1) {
+        f(slots_[g + static_cast<std::size_t>(std::countr_zero(m))]);
+      }
+    }
+  }
+
+  /// Marks every slot empty, keeping capacity. Slot payloads are left
+  /// stale; find_or_insert reports `inserted` so callers overwrite them.
+  void clear() {
+    std::fill(ctrl_.begin(), ctrl_.end(), kCtrlEmpty);
+    size_ = 0;
+  }
+
+ private:
+  [[nodiscard]] std::size_t num_groups() const {
+    return std::size_t{1} << group_bits_;
+  }
+
+  void grow() {
+    SPARTA_COUNTER_ADD(Slot::kGrowCounter, 1);
+    std::vector<std::uint8_t> old_ctrl = std::move(ctrl_);
+    std::vector<Slot> old_slots = std::move(slots_);
+    ++group_bits_;
+    ctrl_.assign(num_groups() * kGroupWidth, kCtrlEmpty);
+    slots_ = std::vector<Slot>(ctrl_.size());
+    const std::uint64_t group_mask = num_groups() - 1;
+    for (std::size_t s = 0; s < old_slots.size(); ++s) {
+      if ((old_ctrl[s] & 0x80u) != 0) continue;
+      const lnkey_t key = old_slots[s].key;
+      std::uint64_t g = swiss_h1(key, group_bits_);
+      while (true) {
+        const std::uint8_t* ctrl = ctrl_.data() + g * kGroupWidth;
+        const std::uint32_t empty = group_match_empty(ctrl, isa_);
+        if (empty != 0) {
+          const std::size_t d =
+              g * kGroupWidth +
+              static_cast<std::size_t>(std::countr_zero(empty));
+          ctrl_[d] = swiss_h2(key);
+          slots_[d] = std::move(old_slots[s]);
+          break;
+        }
+        g = (g + 1) & group_mask;
+      }
+    }
+  }
+
+  SimdIsa isa_;  ///< resolved once: every tier probes identically
+  int group_bits_;
+  std::size_t size_ = 0;
+  std::vector<std::uint8_t> ctrl_;
+  std::vector<Slot> slots_;
+};
+
+struct YSlot {
+  static constexpr const char* kGrowCounter = "hty.grows";
+  lnkey_t key = 0;
+  std::vector<FreeItem> items;
+};
+
+struct ASlot {
+  static constexpr const char* kGrowCounter = "hta.grows";
+  lnkey_t key = 0;
+  value_t val = 0;
+};
+
+}  // namespace detail
+
+/// The HtY (paper §3.3): LN contract key -> dynamic array of (free key,
+/// value) items for every Y non-zero sharing those contract indices.
+/// Built by one thread: open addressing rehashes the whole slot array
+/// on growth, so a parallel build would need one table-wide lock, and
+/// that lock made 2-thread builds slower than 1-thread ones. Items of
+/// one key come back from find() in insertion order, which YPlan makes
+/// Y's storage order.
+class SwissYMap {
+ public:
+  explicit SwissYMap(std::size_t expected_keys) : table_(expected_keys) {}
+
+  /// Appends `item` to the group for `key`, creating it if absent.
+  void insert(lnkey_t key, FreeItem item) {
+    bool inserted = false;
+    std::size_t steps = 0;
+    detail::YSlot& s = table_.find_or_insert(key, inserted, steps);
+    if (inserted) s.items.clear();
+    s.items.push_back(item);
+    // steps counts 16-wide groups probed, not individual slots.
+    SPARTA_COUNTER_ADD("hty.inserts", 1);
+    SPARTA_COUNTER_ADD("hty.insert_steps", steps);
+  }
+
+  /// Items for `key`, or an empty span when absent.
+  [[nodiscard]] std::span<const FreeItem> find(lnkey_t key) const {
+    std::size_t steps = 0;
+    const std::size_t s = table_.find(key, steps);
+    SPARTA_COUNTER_ADD("hty.probes", 1);
+    SPARTA_COUNTER_ADD("hty.probe_steps", steps);
+    SPARTA_HISTOGRAM_RECORD("hty.probe_len", steps);
+    if (s == table_.kAbsent) return {};
+    return table_.slot(s).items;
+  }
+
+  /// Number of distinct keys.
+  [[nodiscard]] std::size_t num_keys() const { return table_.size(); }
+
+  /// Total items across all groups.
   [[nodiscard]] std::size_t num_items() const {
     std::size_t n = 0;
-    for (const Slot& s : slots_) n += s.items.size();
+    table_.for_each([&](const detail::YSlot& s) { n += s.items.size(); });
     return n;
   }
 
   /// Size of the largest group — the paper's nnz_Fmax^Y (Eq. 6 bound).
   [[nodiscard]] std::size_t max_group_size() const {
     std::size_t n = 0;
-    for (const Slot& s : slots_) n = std::max(n, s.items.size());
+    table_.for_each(
+        [&](const detail::YSlot& s) { n = std::max(n, s.items.size()); });
     return n;
   }
 
-  [[nodiscard]] std::size_t num_buckets() const { return slots_.size(); }
+  [[nodiscard]] std::size_t num_slots() const { return table_.num_slots(); }
 
+  /// Measured heap footprint (control bytes, slots and item arrays),
+  /// the quantity Eq. 5 estimates for DRAM placement.
   [[nodiscard]] std::size_t footprint_bytes() const {
-    std::size_t bytes = ctrl_.capacity() +
-                        slots_.capacity() * sizeof(Slot);
-    for (const Slot& s : slots_) {
+    std::size_t bytes = table_.footprint_bytes();
+    table_.for_each([&](const detail::YSlot& s) {
       bytes += s.items.capacity() * sizeof(FreeItem);
-    }
+    });
     return bytes;
   }
 
@@ -240,218 +393,41 @@ class SwissYMap {
   /// a given insertion history, identical across ISA tiers.
   template <typename F>
   void for_each_group(F&& f) const {
-    for (std::size_t s = 0; s < slots_.size(); ++s) {
-      if ((ctrl_[s] & 0x80u) == 0) {
-        f(slots_[s].key, std::span<const FreeItem>(slots_[s].items));
-      }
-    }
+    table_.for_each([&](const detail::YSlot& s) {
+      f(s.key, std::span<const FreeItem>(s.items));
+    });
   }
 
  private:
-  struct Slot {
-    lnkey_t key = 0;
-    std::vector<FreeItem> items;
-  };
-
-  [[nodiscard]] std::size_t num_groups() const {
-    return std::size_t{1} << group_bits_;
-  }
-
-  /// Finds the slot for `key`, inserting a new empty group at the first
-  /// free slot of the probe sequence when absent. The YMap never
-  /// erases, so there are no tombstones to recycle here.
-  Slot& slot_for(lnkey_t key) {
-    const SimdIsa isa = active_isa();
-    const std::uint8_t tag = detail::swiss_h2(key);
-    const std::uint64_t group_mask = num_groups() - 1;
-    std::uint64_t g = detail::swiss_h1(key, group_bits_);
-    std::size_t steps = 0;
-    while (true) {
-      ++steps;
-      const std::uint8_t* ctrl = ctrl_.data() + g * kGroupWidth;
-      for (std::uint32_t m = detail::group_match(ctrl, tag, isa); m != 0;
-           m &= m - 1) {
-        const std::size_t s =
-            g * kGroupWidth + static_cast<std::size_t>(std::countr_zero(m));
-        if (slots_[s].key == key) {
-          count_insert(steps);
-          return slots_[s];
-        }
-      }
-      const std::uint32_t free_mask = detail::group_match_free(ctrl, isa);
-      if (free_mask != 0) {
-        if ((size_ + 1) * 8 > slots_.size() * 7) {
-          grow();
-          return slot_for(key);  // re-probe in the grown table
-        }
-        count_insert(steps);
-        const std::size_t s =
-            g * kGroupWidth +
-            static_cast<std::size_t>(std::countr_zero(free_mask));
-        ctrl_[s] = tag;
-        slots_[s].key = key;
-        ++size_;
-        return slots_[s];
-      }
-      g = (g + 1) & group_mask;
-    }
-  }
-
-  void grow() {
-    SPARTA_COUNTER_ADD("simd.swiss_hty.grows", 1);
-    std::vector<std::uint8_t> old_ctrl;
-    std::vector<Slot> old_slots;
-    old_ctrl.swap(ctrl_);
-    old_slots.swap(slots_);
-    ++group_bits_;
-    const std::size_t slots = num_groups() * kGroupWidth;
-    ctrl_.assign(slots, kCtrlEmpty);
-    slots_.resize(slots);
-    size_ = 0;
-    const SimdIsa isa = active_isa();
-    const std::uint64_t group_mask = num_groups() - 1;
-    for (std::size_t s = 0; s < old_slots.size(); ++s) {
-      if ((old_ctrl[s] & 0x80u) != 0) continue;
-      const lnkey_t key = old_slots[s].key;
-      std::uint64_t g = detail::swiss_h1(key, group_bits_);
-      while (true) {
-        const std::uint8_t* ctrl = ctrl_.data() + g * kGroupWidth;
-        const std::uint32_t free_mask = detail::group_match_free(ctrl, isa);
-        if (free_mask != 0) {
-          const std::size_t d =
-              g * kGroupWidth +
-              static_cast<std::size_t>(std::countr_zero(free_mask));
-          ctrl_[d] = detail::swiss_h2(key);
-          slots_[d] = std::move(old_slots[s]);
-          ++size_;
-          break;
-        }
-        g = (g + 1) & group_mask;
-      }
-    }
-  }
-
-  // Same shape as the chained HtY's telemetry, under simd.* names so
-  // the two tables are distinguishable in one metrics dump. `steps`
-  // counts 16-wide groups probed, not individual slots.
-  static void count_probe(std::size_t steps) {
-    SPARTA_COUNTER_ADD("simd.swiss_hty.probes", 1);
-    SPARTA_COUNTER_ADD("simd.swiss_hty.probe_steps", steps);
-    SPARTA_HISTOGRAM_RECORD("simd.swiss_hty.probe_len", steps);
-  }
-  static void count_insert(std::size_t steps) {
-    SPARTA_COUNTER_ADD("simd.swiss_hty.inserts", 1);
-    SPARTA_COUNTER_ADD("simd.swiss_hty.insert_steps", steps);
-  }
-
-  int group_bits_ = 1;
-  std::size_t size_ = 0;
-  std::vector<std::uint8_t> ctrl_;
-  std::vector<Slot> slots_;
-  std::mutex lock_;
+  detail::SwissSlots<detail::YSlot> table_;
 };
 
-/// Swiss-table sparse accumulator (HtA/SPA): flat (key, value) slots
-/// probed by 16-wide tag compare. Same accumulate/drain/clear surface
-/// as HashAccumulator and LinearProbeAccumulator; additionally supports
-/// erase(), which leaves a tombstone so later probes for keys that
-/// passed through the slot still terminate correctly.
+/// The hash HtA (paper §3.4): flat (key, value) slots probed by 16-wide
+/// tag compare. Thread-private: each worker owns one and reuses it
+/// across the X sub-tensors it processes (clear() keeps capacity).
 class SwissAccumulator {
  public:
-  explicit SwissAccumulator(std::size_t expected_keys = 64) {
-    group_bits_ = detail::swiss_group_bits_for(expected_keys);
-    const std::size_t slots = num_groups() * kGroupWidth;
-    ctrl_.assign(slots, kCtrlEmpty);
-    slots_.assign(slots, Slot{});
-  }
+  explicit SwissAccumulator(std::size_t expected_keys)
+      : table_(expected_keys) {}
 
+  /// Adds `v` to the entry for `key`, inserting it when absent.
   void accumulate(lnkey_t key, value_t v) {
-    SPARTA_ASSERT(key != kReservedKey);
-    const SimdIsa isa = active_isa();
-    const std::uint8_t tag = detail::swiss_h2(key);
-    const std::uint64_t group_mask = num_groups() - 1;
-    std::uint64_t g = detail::swiss_h1(key, group_bits_);
+    bool inserted = false;
     std::size_t steps = 0;
-    // First tombstone on the probe path: reusable insert position, but
-    // only once the key is proven absent (an empty group ends probing).
-    std::size_t tombstone = kNoSlot;
-    while (true) {
-      ++steps;
-      const std::uint8_t* ctrl = ctrl_.data() + g * kGroupWidth;
-      for (std::uint32_t m = detail::group_match(ctrl, tag, isa); m != 0;
-           m &= m - 1) {
-        const std::size_t s =
-            g * kGroupWidth + static_cast<std::size_t>(std::countr_zero(m));
-        if (slots_[s].key == key) {
-          count_probe(steps);
-          slots_[s].val += v;
-          return;
-        }
-      }
-      if (tombstone == kNoSlot) {
-        const std::uint32_t dm = detail::group_match(ctrl, kCtrlDeleted, isa);
-        if (dm != 0) {
-          tombstone = g * kGroupWidth +
-                      static_cast<std::size_t>(std::countr_zero(dm));
-        }
-      }
-      const std::uint32_t em = detail::group_match(ctrl, kCtrlEmpty, isa);
-      if (em != 0) {
-        std::size_t s = tombstone;
-        if (s == kNoSlot) {
-          // Growth watches occupied = full + tombstones: probe chains
-          // terminate on empty slots, so tombstones count against load.
-          if ((occupied_ + 1) * 8 > slots_.size() * 7) {
-            grow();
-            accumulate(key, v);
-            return;
-          }
-          s = g * kGroupWidth +
-              static_cast<std::size_t>(std::countr_zero(em));
-          ++occupied_;
-        }
-        count_probe(steps);
-        ctrl_[s] = tag;
-        slots_[s].key = key;
-        slots_[s].val = v;
-        ++size_;
-        return;
-      }
-      g = (g + 1) & group_mask;
-    }
+    detail::ASlot& s = table_.find_or_insert(key, inserted, steps);
+    s.val = inserted ? v : s.val + v;
+    SPARTA_COUNTER_ADD("hta.accumulates", 1);
+    SPARTA_COUNTER_ADD("hta.probe_steps", steps);
+    SPARTA_HISTOGRAM_RECORD("hta.probe_len", steps);
   }
 
-  /// Removes `key` if present, leaving a tombstone. Returns whether a
-  /// live entry was removed.
-  bool erase(lnkey_t key) {
-    const SimdIsa isa = active_isa();
-    const std::uint8_t tag = detail::swiss_h2(key);
-    const std::uint64_t group_mask = num_groups() - 1;
-    std::uint64_t g = detail::swiss_h1(key, group_bits_);
-    while (true) {
-      const std::uint8_t* ctrl = ctrl_.data() + g * kGroupWidth;
-      for (std::uint32_t m = detail::group_match(ctrl, tag, isa); m != 0;
-           m &= m - 1) {
-        const std::size_t s =
-            g * kGroupWidth + static_cast<std::size_t>(std::countr_zero(m));
-        if (slots_[s].key == key) {
-          ctrl_[s] = kCtrlDeleted;  // occupied_ unchanged: still blocks
-          slots_[s] = Slot{};
-          --size_;
-          return true;
-        }
-      }
-      if (detail::group_match(ctrl, kCtrlEmpty, isa) != 0) return false;
-      g = (g + 1) & group_mask;
-    }
-  }
+  [[nodiscard]] std::size_t size() const { return table_.size(); }
+  [[nodiscard]] bool empty() const { return table_.size() == 0; }
+  [[nodiscard]] std::size_t num_slots() const { return table_.num_slots(); }
 
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] std::size_t num_buckets() const { return slots_.size(); }
-
+  /// Heap footprint; the quantity bounded by Eq. 6 for DRAM placement.
   [[nodiscard]] std::size_t footprint_bytes() const {
-    return ctrl_.capacity() + slots_.capacity() * sizeof(Slot);
+    return table_.footprint_bytes();
   }
 
   /// Visits live entries in slot order — fixed by insertion history,
@@ -459,82 +435,14 @@ class SwissAccumulator {
   /// order is accumulation order downstream).
   template <typename F>
   void drain(F&& f) const {
-    for (std::size_t s = 0; s < slots_.size(); ++s) {
-      if ((ctrl_[s] & 0x80u) == 0) f(slots_[s].key, slots_[s].val);
-    }
+    table_.for_each([&](const detail::ASlot& s) { f(s.key, s.val); });
   }
 
-  /// Empties the table (tombstones included), keeping capacity.
-  void clear() {
-    std::fill(ctrl_.begin(), ctrl_.end(), kCtrlEmpty);
-    std::fill(slots_.begin(), slots_.end(), Slot{});
-    size_ = 0;
-    occupied_ = 0;
-  }
+  /// Empties the table by resetting its control bytes, keeping capacity.
+  void clear() { table_.clear(); }
 
  private:
-  // LinearProbeAccumulator's reserved sentinel; kept out of the key
-  // space here too so the two accumulators stay interchangeable.
-  static constexpr lnkey_t kReservedKey = std::numeric_limits<lnkey_t>::max();
-  static constexpr std::size_t kNoSlot =
-      std::numeric_limits<std::size_t>::max();
-
-  struct Slot {
-    lnkey_t key = 0;
-    value_t val = 0;
-  };
-
-  [[nodiscard]] std::size_t num_groups() const {
-    return std::size_t{1} << group_bits_;
-  }
-
-  void grow() {
-    SPARTA_COUNTER_ADD("simd.swiss_hta.grows", 1);
-    std::vector<std::uint8_t> old_ctrl;
-    std::vector<Slot> old_slots;
-    old_ctrl.swap(ctrl_);
-    old_slots.swap(slots_);
-    ++group_bits_;
-    const std::size_t slots = num_groups() * kGroupWidth;
-    ctrl_.assign(slots, kCtrlEmpty);
-    slots_.assign(slots, Slot{});
-    size_ = 0;
-    occupied_ = 0;  // rehash drops tombstones
-    const SimdIsa isa = active_isa();
-    const std::uint64_t group_mask = num_groups() - 1;
-    for (std::size_t s = 0; s < old_slots.size(); ++s) {
-      if ((old_ctrl[s] & 0x80u) != 0) continue;
-      const lnkey_t key = old_slots[s].key;
-      std::uint64_t g = detail::swiss_h1(key, group_bits_);
-      while (true) {
-        const std::uint8_t* ctrl = ctrl_.data() + g * kGroupWidth;
-        const std::uint32_t free_mask = detail::group_match_free(ctrl, isa);
-        if (free_mask != 0) {
-          const std::size_t d =
-              g * kGroupWidth +
-              static_cast<std::size_t>(std::countr_zero(free_mask));
-          ctrl_[d] = detail::swiss_h2(key);
-          slots_[d] = old_slots[s];
-          ++size_;
-          ++occupied_;
-          break;
-        }
-        g = (g + 1) & group_mask;
-      }
-    }
-  }
-
-  static void count_probe(std::size_t steps) {
-    SPARTA_COUNTER_ADD("simd.swiss_hta.accumulates", 1);
-    SPARTA_COUNTER_ADD("simd.swiss_hta.probe_steps", steps);
-    SPARTA_HISTOGRAM_RECORD("simd.swiss_hta.probe_len", steps);
-  }
-
-  int group_bits_ = 1;
-  std::size_t size_ = 0;      ///< live entries
-  std::size_t occupied_ = 0;  ///< live + tombstoned (load-factor input)
-  std::vector<std::uint8_t> ctrl_;
-  std::vector<Slot> slots_;
+  detail::SwissSlots<detail::ASlot> table_;
 };
 
 }  // namespace sparta::simd

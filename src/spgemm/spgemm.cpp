@@ -7,9 +7,9 @@
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
-#include "hashtable/linear_probe.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "simd/swiss_table.hpp"
 
 namespace sparta {
 
@@ -96,8 +96,8 @@ CsrMatrix spgemm(const CsrMatrix& a, const CsrMatrix& b,
     {
       // Thread-local state built under the guard: every thread must
       // still reach the `omp for` below even if construction throws.
-      std::unique_ptr<LinearProbeAccumulator> acc;
-      ec.run([&] { acc = std::make_unique<LinearProbeAccumulator>(64); });
+      std::unique_ptr<simd::SwissAccumulator> acc;
+      ec.run([&] { acc = std::make_unique<simd::SwissAccumulator>(64); });
 #pragma omp for schedule(dynamic, 64)
       for (std::ptrdiff_t r = 0; r < static_cast<std::ptrdiff_t>(rows);
            ++r) {
@@ -122,12 +122,12 @@ CsrMatrix spgemm(const CsrMatrix& a, const CsrMatrix& b,
     // Thread-local accumulators, constructed once — under the guard so a
     // throwing constructor cannot skip the worksharing constructs below.
     std::unique_ptr<DenseSpaRow> spa;
-    std::unique_ptr<LinearProbeAccumulator> hash;
+    std::unique_ptr<simd::SwissAccumulator> hash;
     numeric_ec.run([&] {
       if (opts.accumulator == SpgemmAccumulator::kDenseSpa) {
         spa = std::make_unique<DenseSpaRow>(b.cols());
       }
-      hash = std::make_unique<LinearProbeAccumulator>(256);
+      hash = std::make_unique<simd::SwissAccumulator>(256);
     });
     std::size_t flops = 0;
 

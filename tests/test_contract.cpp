@@ -279,18 +279,6 @@ TEST(ContractOptionsTest, ExplicitThreadCountsAgree) {
   }
 }
 
-TEST(ContractOptionsTest, HtyBucketCountDoesNotChangeResult) {
-  const SparseTensor x = random_tensor({15, 15, 15}, 400, 5);
-  const SparseTensor y = random_tensor({15, 15, 15}, 400, 6);
-  ContractOptions small;
-  small.hty_buckets = 4;  // forces long chains
-  ContractOptions big;
-  big.hty_buckets = 1 << 16;
-  const SparseTensor zs = contract_tensor(x, y, {2}, {0}, small);
-  const SparseTensor zb = contract_tensor(x, y, {2}, {0}, big);
-  EXPECT_TRUE(SparseTensor::approx_equal(zs, zb, 1e-9));
-}
-
 // --- Stats -----------------------------------------------------------
 
 TEST(ContractStatsTest, CountersAreConsistent) {

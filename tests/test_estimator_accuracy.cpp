@@ -20,6 +20,7 @@ namespace {
 
 struct MeasuredCase {
   ContractResult result;
+  std::size_t hty_key_space = 0;
   std::size_t peak_hty = 0;
   std::size_t peak_hta = 0;
   std::size_t peak_zlocal = 0;
@@ -51,26 +52,19 @@ MeasuredCase run_tracked(int contract_modes, std::size_t nnz,
 
   MeasuredCase mc;
   mc.result = contract(pair.x, pair.y, c, c, o);
+  mc.hty_key_space = hty_key_space(pair.y.dims(), c);
   mc.peak_hty = reg.peak_bytes(Tier::kDram, DataObject::kHtY);
   mc.peak_hta = reg.peak_bytes(Tier::kDram, DataObject::kHtA);
   mc.peak_zlocal = reg.peak_bytes(Tier::kDram, DataObject::kZlocal);
   return mc;
 }
 
-// Mirrors the engine's HtY auto bucket sizing (≈ nnz_Y, next 2^k).
-std::size_t auto_buckets(std::size_t nnz_y) {
-  std::size_t buckets = 16;
-  while (buckets < nnz_y) buckets <<= 1;
-  return buckets;
-}
-
 TEST(EstimatorAccuracy, Eq5WithinFactorOfTrackedHtyPeakBothWays) {
   for (int m : {1, 2}) {
     for (std::size_t nnz : {1000u, 4000u}) {
       const MeasuredCase mc = run_tracked(m, nnz, 41 + nnz + m);
-      const std::size_t est = estimate_hty_bytes(
-          mc.result.stats.nnz_y, /*order_y=*/4,
-          auto_buckets(mc.result.stats.nnz_y));
+      const std::size_t est =
+          estimate_hty_bytes(mc.result.stats.nnz_y, mc.hty_key_space);
       ASSERT_GT(mc.peak_hty, 0u) << m << "-mode nnz=" << nnz;
       EXPECT_LT(mc.peak_hty,
                 static_cast<std::size_t>(est * kEstimatorAccuracyFactor))
@@ -88,8 +82,7 @@ TEST(EstimatorAccuracy, Eq6BoundsTrackedPerThreadHtaPeak) {
     // Eq. 6's inputs are known before the accumulator exists: the
     // largest X sub-tensor and the largest HtY group.
     const std::size_t bound = estimate_hta_bytes(
-        mc.result.stats.max_x_subtensor, mc.result.stats.max_y_group,
-        /*num_free_y=*/4 - m, /*num_buckets=*/1024);
+        mc.result.stats.max_x_subtensor, mc.result.stats.max_y_group);
     ASSERT_GT(mc.peak_hta, 0u) << m << "-mode";
     // The documented contract is one-sided: measured per-thread peak
     // must stay below factor × bound. (Eq. 6 may overshoot arbitrarily

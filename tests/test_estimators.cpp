@@ -2,8 +2,12 @@
 // footprints from real contractions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "contraction/contract.hpp"
 #include "contraction/estimators.hpp"
+#include "contraction/plan.hpp"
 #include "tensor/generators.hpp"
 
 namespace sparta {
@@ -25,17 +29,16 @@ ContractResult run_case(int contract_modes, std::size_t nnz,
   for (int m = 0; m < contract_modes; ++m) c.push_back(m);
   ContractOptions o;
   o.algorithm = Algorithm::kSparta;
+  o.num_threads = 1;  // stats.hta_bytes is then the per-thread HtA
   return contract(pair.x, pair.y, c, c, o);
 }
 
 TEST(Estimators, Eq5TracksMeasuredHtyFootprint) {
   for (int m : {1, 2}) {
     const ContractResult r = run_case(m, 4000, 17);
-    // Bucket count ≈ nnz rounded to the next power of two (auto sizing).
-    std::size_t buckets = 16;
-    while (buckets < r.stats.nnz_y) buckets <<= 1;
-    const std::size_t est = estimate_hty_bytes(
-        r.stats.nnz_y, /*order_y=*/4, buckets);
+    // Contract modes are the leading ones of Y's {50, 40, ...}.
+    const std::size_t est =
+        estimate_hty_bytes(r.stats.nnz_y, m == 1 ? 50u : 50u * 40u);
     // Eq. 5 models the steady-state layout; vector growth slack means the
     // measured value can exceed it, but both must be the same scale.
     EXPECT_GT(est, r.stats.hty_bytes / 4) << m << "-mode";
@@ -46,23 +49,22 @@ TEST(Estimators, Eq5TracksMeasuredHtyFootprint) {
 TEST(Estimators, Eq6IsAnUpperBoundOnHta) {
   for (int m : {1, 2}) {
     const ContractResult r = run_case(m, 3000, 23);
-    const std::size_t buckets = 1024;
-    const std::size_t bound = estimate_hta_bytes(
-        r.stats.max_x_subtensor, r.stats.max_y_group, /*num_free_y=*/2,
-        buckets);
-    // The paper: Eq. 6 gives an upper bound on one thread's HtA payload.
+    const std::size_t bound =
+        estimate_hta_bytes(r.stats.max_x_subtensor, r.stats.max_y_group);
+    // The paper: Eq. 6 gives an upper bound on one thread's HtA.
     const std::size_t per_thread = r.stats.hta_bytes;  // 1 thread here
-    EXPECT_GE(bound + buckets * 16, per_thread / 2)
-        << m << "-mode: bound should not be wildly below measurement";
+    EXPECT_GE(bound, per_thread)
+        << m << "-mode: the table outgrew its bound";
   }
 }
 
 TEST(Estimators, Eq6GrowsWithItsInputs) {
-  const std::size_t base = estimate_hta_bytes(10, 10, 2, 64);
-  EXPECT_GT(estimate_hta_bytes(20, 10, 2, 64), base);
-  EXPECT_GT(estimate_hta_bytes(10, 20, 2, 64), base);
-  EXPECT_GT(estimate_hta_bytes(10, 10, 4, 64), base);
-  EXPECT_GT(estimate_hta_bytes(10, 10, 2, 1024), base);
+  // Slot counts are powers of two, so doubling a factor past the 7/8
+  // load point of the current table must double the bound.
+  const std::size_t base = estimate_hta_bytes(10, 10);
+  EXPECT_GT(estimate_hta_bytes(20, 10), base);
+  EXPECT_GT(estimate_hta_bytes(10, 20), base);
+  EXPECT_GE(estimate_hta_bytes(10, 11), base);
 }
 
 TEST(Estimators, ZlocalBoundCoversMeasured) {
@@ -77,22 +79,50 @@ TEST(Estimators, ZlocalBoundCoversMeasured) {
 }
 
 TEST(Estimators, Eq5ExactFormula) {
-  // Direct formula check with the paper's symbol values.
-  EstimatorSizes sz;
-  sz.entry_pointer = 8;
-  sz.index = 4;
-  sz.value = 8;
-  // Size_ep*B + nnz*(idx*N + val + ep) = 8*100 + 50*(4*3 + 8 + 8)
-  EXPECT_EQ(estimate_hty_bytes(50, 3, 100, sz), 800u + 50u * 28u);
+  // #Slots*(ctrl + slot) + nnz*item. 50 keys need 4 groups of 16 (64
+  // slots, 56 at 7/8 load): 64*(1 + 32) + 50*16.
+  constexpr std::size_t kUnbounded = ~std::size_t{0};
+  EXPECT_EQ(estimate_hty_bytes(50, kUnbounded), 64u * 33u + 50u * 16u);
+  // 10,000 keys: 1024 groups (16384 slots, 14336 at 7/8 load).
+  EXPECT_EQ(estimate_hty_bytes(10'000, kUnbounded),
+            16384u * 33u + 10'000u * 16u);
+  // A key space smaller than nnz bounds the slots, not the items.
+  EXPECT_EQ(estimate_hty_bytes(10'000, 50), 64u * 33u + 10'000u * 16u);
+}
+
+TEST(Estimators, HtyKeySpaceIsContractModeProduct) {
+  const std::vector<index_t> dims = {50, 40, 25};
+  EXPECT_EQ(hty_key_space(dims, {0}), 50u);
+  EXPECT_EQ(hty_key_space(dims, {2, 0}), 1250u);
+  // Saturates rather than wrapping.
+  const std::vector<index_t> huge(4, 1u << 30);
+  EXPECT_EQ(hty_key_space(huge, {0, 1, 2, 3}), ~std::size_t{0});
+}
+
+TEST(Estimators, YPlanSizesHtyForEq5Keys) {
+  // 1-mode: 4000 non-zeros share at most 50 keys, so HtY gets the
+  // 50-key table Eq. 5 counts, not a 4000-key one.
+  PairedSpec ps;
+  ps.x.dims = {50, 40, 30, 20};
+  ps.x.nnz = 4000;
+  ps.y.dims = {50, 40, 25, 15};
+  ps.y.nnz = 4000;
+  ps.y.seed = 5;
+  ps.num_contract_modes = 1;
+  const TensorPair pair = generate_contraction_pair(ps);
+  const YPlan plan(pair.y, {0});
+  EXPECT_EQ(plan.hty().num_slots(),
+            simd::swiss_slots_for(std::min<std::size_t>(plan.nnz_y(), 50)));
+  EXPECT_LE(plan.num_keys(), 50u);
 }
 
 TEST(Estimators, Eq6ExactFormula) {
-  EstimatorSizes sz;
-  sz.entry_pointer = 8;
-  sz.index = 4;
-  sz.value = 8;
-  // 8*64 + 10*20*(4*2 + 8 + 8)
-  EXPECT_EQ(estimate_hta_bytes(10, 20, 2, 64, sz), 512u + 200u * 24u);
+  // #Slots*(ctrl + slot) for fmax_x*fmax_y = 200 keys: 16 groups of 16
+  // (256 slots, 224 at 7/8 load): 256*(1 + 16).
+  EXPECT_EQ(estimate_hta_bytes(10, 20), 256u * 17u);
+  // The 2-group minimum table holds 28 keys.
+  EXPECT_EQ(estimate_hta_bytes(4, 7), 32u * 17u);
+  EXPECT_EQ(estimate_hta_bytes(29, 1), 64u * 17u);
 }
 
 }  // namespace

@@ -140,13 +140,8 @@ TEST_F(FailpointTest, ValidateRejectsContradictoryOptions) {
   EXPECT_THROW(o.validate(), Error);
 
   o = {};
-  o.algorithm = Algorithm::kSpa;
-  o.use_linear_probe_hta = true;
-  EXPECT_THROW(o.validate(), Error);
-
-  o = {};
   o.algorithm = Algorithm::kCooHta;
-  o.hty_buckets = 512;
+  o.hty_charged_externally = true;
   EXPECT_THROW(o.validate(), Error);
 
   o = {};

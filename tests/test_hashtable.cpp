@@ -1,166 +1,15 @@
-// Unit tests for the LN-keyed hash structures: GroupedHashMap (HtY),
-// HashAccumulator (HtA) and SpaAccumulator (SPA baseline).
+// Unit tests for the SPA baseline (SpaAccumulator, Algorithm 1). The
+// swiss HtY/HtA have their own suite in test_swiss_table.cpp.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
-#include <thread>
 #include <vector>
 
-#include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "hashtable/accumulator.hpp"
-#include "hashtable/grouped_map.hpp"
-#include "hashtable/hash.hpp"
 #include "hashtable/spa.hpp"
 
 namespace sparta {
 namespace {
-
-// --- hash helpers -----------------------------------------------------
-
-TEST(Hash, BucketBitsCoverRequest) {
-  EXPECT_EQ(bucket_bits_for(1), 4);
-  EXPECT_EQ(bucket_bits_for(16), 4);
-  EXPECT_EQ(bucket_bits_for(17), 5);
-  EXPECT_EQ(bucket_bits_for(1 << 20), 20);
-}
-
-TEST(Hash, HashStaysInRange) {
-  Rng rng(1);
-  for (int bits = 4; bits <= 20; bits += 4) {
-    for (int i = 0; i < 1000; ++i) {
-      EXPECT_LT(hash_ln(rng(), bits), std::uint64_t{1} << bits);
-    }
-  }
-}
-
-TEST(Hash, SequentialKeysSpreadAcrossBuckets) {
-  // LN keys are often consecutive integers; Fibonacci hashing must not
-  // pile them into one bucket.
-  constexpr int kBits = 8;
-  std::vector<int> counts(1 << kBits, 0);
-  for (lnkey_t k = 0; k < 4096; ++k) ++counts[hash_ln(k, kBits)];
-  const int max_load = *std::max_element(counts.begin(), counts.end());
-  EXPECT_LT(max_load, 64);  // 16 expected; allow generous slack
-}
-
-// --- GroupedHashMap ----------------------------------------------------
-
-TEST(GroupedHashMap, FindOnEmptyReturnsEmpty) {
-  GroupedHashMap m(16);
-  EXPECT_TRUE(m.find(42).empty());
-  EXPECT_EQ(m.num_keys(), 0u);
-  EXPECT_EQ(m.num_items(), 0u);
-}
-
-TEST(GroupedHashMap, GroupsItemsByKey) {
-  GroupedHashMap m(16);
-  m.insert(7, {100, 1.0});
-  m.insert(7, {101, 2.0});
-  m.insert(9, {200, 3.0});
-  EXPECT_EQ(m.num_keys(), 2u);
-  EXPECT_EQ(m.num_items(), 3u);
-  EXPECT_EQ(m.max_group_size(), 2u);
-
-  const auto g7 = m.find(7);
-  ASSERT_EQ(g7.size(), 2u);
-  EXPECT_EQ(g7[0].free_key, 100u);
-  EXPECT_DOUBLE_EQ(g7[1].val, 2.0);
-  EXPECT_EQ(m.find(9).size(), 1u);
-  EXPECT_TRUE(m.find(8).empty());
-}
-
-TEST(GroupedHashMap, HandlesBucketCollisions) {
-  // One bucket (2^4 = 16 buckets min) with many distinct keys: chains
-  // must keep every key distinct.
-  GroupedHashMap m(1);
-  for (lnkey_t k = 0; k < 200; ++k) m.insert(k, {k * 10, 1.0});
-  EXPECT_EQ(m.num_keys(), 200u);
-  for (lnkey_t k = 0; k < 200; ++k) {
-    const auto g = m.find(k);
-    ASSERT_EQ(g.size(), 1u) << "key " << k;
-    EXPECT_EQ(g[0].free_key, k * 10);
-  }
-}
-
-TEST(GroupedHashMap, ParallelInsertLosesNothing) {
-  constexpr std::size_t kN = 20'000;
-  GroupedHashMap m(kN / 4);
-#pragma omp parallel for
-  for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(kN); ++i) {
-    const auto key = static_cast<lnkey_t>(i % 997);  // heavy key sharing
-    m.insert_locked(key, {static_cast<lnkey_t>(i), 1.0});
-  }
-  EXPECT_EQ(m.num_items(), kN);
-  EXPECT_EQ(m.num_keys(), 997u);
-
-  // Every item must be present exactly once.
-  std::vector<int> seen(kN, 0);
-  m.for_each_group([&](lnkey_t key, std::span<const FreeItem> items) {
-    for (const FreeItem& it : items) {
-      ASSERT_LT(it.free_key, kN);
-      EXPECT_EQ(it.free_key % 997, key);
-      ++seen[it.free_key];
-    }
-  });
-  EXPECT_TRUE(std::all_of(seen.begin(), seen.end(),
-                          [](int c) { return c == 1; }));
-}
-
-TEST(GroupedHashMap, FootprintGrowsWithContent) {
-  GroupedHashMap empty(1024);
-  GroupedHashMap full(1024);
-  for (lnkey_t k = 0; k < 5000; ++k) full.insert(k, {k, 1.0});
-  EXPECT_GT(full.footprint_bytes(), empty.footprint_bytes());
-}
-
-// --- HashAccumulator ---------------------------------------------------
-
-TEST(HashAccumulator, AccumulatesByKey) {
-  HashAccumulator a(16);
-  a.accumulate(5, 1.5);
-  a.accumulate(5, 2.5);
-  a.accumulate(9, 1.0);
-  EXPECT_EQ(a.size(), 2u);
-  std::map<lnkey_t, value_t> out;
-  a.drain([&](lnkey_t k, value_t v) { out[k] = v; });
-  EXPECT_DOUBLE_EQ(out[5], 4.0);
-  EXPECT_DOUBLE_EQ(out[9], 1.0);
-}
-
-TEST(HashAccumulator, ClearKeepsBucketsReusable) {
-  HashAccumulator a(16);
-  a.accumulate(1, 1.0);
-  a.clear();
-  EXPECT_EQ(a.size(), 0u);
-  a.accumulate(1, 7.0);
-  EXPECT_EQ(a.size(), 1u);
-  a.drain([&](lnkey_t, value_t v) { EXPECT_DOUBLE_EQ(v, 7.0); });
-}
-
-TEST(HashAccumulator, MatchesMapOracleOnRandomStream) {
-  Rng rng(99);
-  HashAccumulator a(64);
-  std::map<lnkey_t, value_t> oracle;
-  for (int i = 0; i < 50'000; ++i) {
-    const lnkey_t k = rng.uniform(2000);
-    const value_t v = rng.uniform_double(-1.0, 1.0);
-    a.accumulate(k, v);
-    oracle[k] += v;
-  }
-  EXPECT_EQ(a.size(), oracle.size());
-  a.drain([&](lnkey_t k, value_t v) {
-    ASSERT_TRUE(oracle.count(k));
-    EXPECT_NEAR(v, oracle[k], 1e-9);
-  });
-}
-
-TEST(HashAccumulator, SurvivesHeavyCollisions) {
-  HashAccumulator a(1);  // 16 buckets for thousands of keys
-  for (lnkey_t k = 0; k < 5000; ++k) a.accumulate(k, 1.0);
-  EXPECT_EQ(a.size(), 5000u);
-}
 
 // --- SpaAccumulator ----------------------------------------------------
 

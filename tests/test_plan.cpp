@@ -2,11 +2,15 @@
 // search variant added by this reproduction.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "common/error.hpp"
 #include "contraction/contract.hpp"
 #include "contraction/plan.hpp"
 #include "contraction/reference.hpp"
 #include "tensor/generators.hpp"
+#include "tensor/linearize.hpp"
 
 namespace sparta {
 namespace {
@@ -127,6 +131,66 @@ TEST(YPlanTest, BatchRejectsNull) {
   const YPlan plan(y, {0});
   std::vector<const SparseTensor*> ptrs{nullptr};
   EXPECT_THROW((void)contract_batch(ptrs, plan, {0}), Error);
+}
+
+// The HtY is built on one thread in Y's storage order, so each key's
+// items come back in that order, and every stage after it is free of
+// thread-count-dependent floating-point order: Z is bitwise identical
+// at any thread count.
+TEST(YPlanTest, DeterministicHtyAndThreadCountInvariantZ) {
+  // Y appended in a scrambled (unsorted) order, so storage order is
+  // neither key order nor free-key order.
+  const SparseTensor sorted_y = rand_t({9, 8, 7}, 300, 80);
+  SparseTensor y(sorted_y.dims());
+  std::vector<index_t> c(3);
+  for (std::size_t k = 0; k < sorted_y.nnz(); ++k) {
+    const std::size_t n = (k * 7919) % sorted_y.nnz();  // 7919 is prime
+    sorted_y.coords(n, c);
+    y.append(c, sorted_y.value(n));
+  }
+  const Modes cy{2, 0};
+  const YPlan plan(y, cy);
+
+  const LinearIndexer clin(plan.contract_dims());
+  const std::vector<int> fy(plan.fy().begin(), plan.fy().end());
+  std::map<lnkey_t, std::vector<FreeItem>> expected;
+  for (std::size_t n = 0; n < y.nnz(); ++n) {
+    y.coords(n, c);
+    expected[clin.linearize_gather(c, cy)].push_back(
+        FreeItem{plan.fy_indexer().linearize_gather(c, fy), y.value(n)});
+  }
+  ASSERT_EQ(plan.num_keys(), expected.size());
+  for (const auto& [key, items] : expected) {
+    const auto found = plan.hty().find(key);
+    ASSERT_EQ(found.size(), items.size()) << "key " << key;
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      EXPECT_EQ(found[i].free_key, items[i].free_key) << "key " << key;
+      EXPECT_EQ(found[i].val, items[i].val) << "key " << key;
+    }
+  }
+
+  const SparseTensor x = rand_t({7, 11, 9}, 600, 81);
+  for (Algorithm alg : {Algorithm::kSpa, Algorithm::kCooHta,
+                        Algorithm::kSparta, Algorithm::kCooBinary}) {
+    ContractOptions o;
+    o.algorithm = alg;
+    o.num_threads = 1;
+    const SparseTensor z1 = contract_tensor(x, y, {0, 2}, cy, o);
+    ASSERT_GT(z1.nnz(), 0u);
+    for (int threads : {2, 4}) {
+      o.num_threads = threads;
+      const SparseTensor zt = contract_tensor(x, y, {0, 2}, cy, o);
+      ASSERT_EQ(zt.nnz(), z1.nnz()) << algorithm_name(alg) << threads;
+      for (std::size_t n = 0; n < z1.nnz(); ++n) {
+        for (int m = 0; m < z1.order(); ++m) {
+          ASSERT_EQ(zt.index(n, m), z1.index(n, m))
+              << algorithm_name(alg) << " @" << threads << " threads";
+        }
+        ASSERT_EQ(zt.value(n), z1.value(n))  // bitwise, not approximate
+            << algorithm_name(alg) << " @" << threads << " threads";
+      }
+    }
+  }
 }
 
 // --- kCooBinary variant -------------------------------------------------

@@ -1,7 +1,7 @@
 // Unit tests for the swiss-table HtY/HtA (simd/swiss_table.hpp):
-// chained-table parity, tombstone lifecycle, full-group wraparound,
-// growth, and the AllocationRegistry budget charge when contraction
-// runs on the swiss paths.
+// std::map oracles, collisions, full-group wraparound, growth, key 0,
+// multi-threaded Sparta parity, and the AllocationRegistry budget charge
+// when contraction runs on the tables.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +11,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "contraction/contract.hpp"
-#include "hashtable/grouped_map.hpp"
+#include "contraction/reference.hpp"
 #include "simd/swiss_table.hpp"
 #include "tensor/generators.hpp"
 
@@ -26,17 +26,16 @@ TEST(SwissGroup, MatchMaskAgreesAcrossTiers) {
   for (int trial = 0; trial < 200; ++trial) {
     for (auto& c : ctrl) {
       const std::uint64_t r = rng() % 4;
-      c = r == 0   ? simd::kCtrlEmpty
-          : r == 1 ? simd::kCtrlDeleted
-                   : static_cast<std::uint8_t>(rng() & 0x7f);
+      c = r == 0 ? simd::kCtrlEmpty
+                 : static_cast<std::uint8_t>(rng() & 0x7f);
     }
     const auto tag = static_cast<std::uint8_t>(rng() & 0x7f);
     const auto native = simd::detect_native_isa();
     EXPECT_EQ(simd::detail::group_match(ctrl, tag, simd::SimdIsa::kScalar),
               simd::detail::group_match(ctrl, tag, native));
     EXPECT_EQ(
-        simd::detail::group_match_free(ctrl, simd::SimdIsa::kScalar),
-        simd::detail::group_match_free(ctrl, native));
+        simd::detail::group_match_empty(ctrl, simd::SimdIsa::kScalar),
+        simd::detail::group_match_empty(ctrl, native));
   }
 }
 
@@ -53,29 +52,56 @@ TEST(SwissGroup, MaskBitsIdentifySlots) {
 
 // --- SwissYMap ------------------------------------------------------
 
-TEST(SwissYMap, ParityWithGroupedHashMap) {
+TEST(SwissGroup, SlotCountCoversRequestAtSevenEighthsLoad) {
+  EXPECT_EQ(simd::swiss_slots_for(0), 32u);   // the 2-group minimum
+  EXPECT_EQ(simd::swiss_slots_for(28), 32u);  // 7/8 of 32
+  EXPECT_EQ(simd::swiss_slots_for(29), 64u);
+  EXPECT_EQ(simd::swiss_slots_for(1u << 20), std::size_t{1} << 21);
+}
+
+TEST(SwissGroup, SequentialKeysSpreadAcrossGroups) {
+  // LN keys are often consecutive integers; the multiplicative hash
+  // must not pile them into one group.
+  constexpr int kBits = 8;
+  std::vector<int> counts(1 << kBits, 0);
+  for (lnkey_t k = 0; k < 4096; ++k) {
+    ++counts[simd::detail::swiss_h1(k, kBits)];
+  }
+  const int max_load = *std::max_element(counts.begin(), counts.end());
+  EXPECT_LT(max_load, 64);  // 16 expected; allow generous slack
+}
+
+// --- SwissYMap ------------------------------------------------------
+
+TEST(SwissYMap, MatchesMapOracle) {
   Rng rng(3);
-  GroupedHashMap chained(256);
-  simd::SwissYMap swiss(256);
-  std::vector<lnkey_t> keys;
+  simd::SwissYMap t(256);
+  std::map<lnkey_t, std::vector<FreeItem>> oracle;
   for (int i = 0; i < 2000; ++i) {
     const lnkey_t key = rng() % 500;  // plenty of multi-item groups
     const FreeItem item{rng() % 97, static_cast<value_t>(i)};
-    chained.insert(key, item);
-    swiss.insert(key, item);
-    keys.push_back(key);
+    t.insert(key, item);
+    oracle[key].push_back(item);
   }
-  EXPECT_EQ(swiss.num_keys(), chained.num_keys());
-  EXPECT_EQ(swiss.num_items(), chained.num_items());
-  EXPECT_EQ(swiss.max_group_size(), chained.max_group_size());
+  std::size_t max_group = 0;
+  for (const auto& [key, items] : oracle) {
+    max_group = std::max(max_group, items.size());
+  }
+  EXPECT_EQ(t.num_keys(), oracle.size());
+  EXPECT_EQ(t.num_items(), 2000u);
+  EXPECT_EQ(t.max_group_size(), max_group);
   for (lnkey_t key = 0; key < 600; ++key) {
-    const auto a = chained.find(key);
-    const auto b = swiss.find(key);
-    ASSERT_EQ(a.size(), b.size()) << "key " << key;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      // Per-key insertion order is preserved by both tables.
-      EXPECT_EQ(a[i].free_key, b[i].free_key);
-      EXPECT_EQ(a[i].val, b[i].val);
+    const auto found = t.find(key);
+    const auto it = oracle.find(key);
+    if (it == oracle.end()) {
+      EXPECT_TRUE(found.empty()) << "key " << key;
+      continue;
+    }
+    ASSERT_EQ(found.size(), it->second.size()) << "key " << key;
+    for (std::size_t i = 0; i < found.size(); ++i) {
+      // Per-key insertion order is preserved.
+      EXPECT_EQ(found[i].free_key, it->second[i].free_key);
+      EXPECT_EQ(found[i].val, it->second[i].val);
     }
   }
 }
@@ -93,7 +119,7 @@ TEST(SwissYMap, FullGroupWrapsToNextGroup) {
   // keys forces probes past full groups (including the wrap from the
   // last group back to group 0) before growth kicks in at 7/8 load.
   simd::SwissYMap t(1);
-  ASSERT_EQ(t.num_buckets(), 32u);
+  ASSERT_EQ(t.num_slots(), 32u);
   for (lnkey_t k = 0; k < 28; ++k) {
     t.insert(k * 1000003, FreeItem{k, static_cast<value_t>(k)});
   }
@@ -107,7 +133,7 @@ TEST(SwissYMap, FullGroupWrapsToNextGroup) {
 
 TEST(SwissYMap, GrowthPreservesEveryGroup) {
   simd::SwissYMap t(4);  // deliberately undersized: forces rehashes
-  const std::size_t initial_buckets = t.num_buckets();
+  const std::size_t initial_slots = t.num_slots();
   std::map<lnkey_t, std::size_t> expected;
   Rng rng(17);
   for (int i = 0; i < 5000; ++i) {
@@ -115,7 +141,7 @@ TEST(SwissYMap, GrowthPreservesEveryGroup) {
     t.insert(key, FreeItem{key, 1.0});
     ++expected[key];
   }
-  EXPECT_GT(t.num_buckets(), initial_buckets);
+  EXPECT_GT(t.num_slots(), initial_slots);
   EXPECT_EQ(t.num_keys(), expected.size());
   std::map<lnkey_t, std::size_t> seen;
   t.for_each_group([&](lnkey_t key, std::span<const FreeItem> items) {
@@ -146,79 +172,91 @@ TEST(SwissAccumulator, AccumulatesDuplicateKeys) {
   EXPECT_DOUBLE_EQ(out[9], 1.0);
 }
 
-TEST(SwissAccumulator, EraseLeavesTombstoneAndDrainSkipsIt) {
-  simd::SwissAccumulator acc(16);
-  for (lnkey_t k = 0; k < 10; ++k) acc.accumulate(k, 1.0);
-  EXPECT_TRUE(acc.erase(4));
-  EXPECT_FALSE(acc.erase(4));   // already gone
-  EXPECT_FALSE(acc.erase(99));  // never present
-  EXPECT_EQ(acc.size(), 9u);
-  std::map<lnkey_t, value_t> out;
-  acc.drain([&](lnkey_t k, value_t v) { out[k] = v; });
-  EXPECT_EQ(out.size(), 9u);
-  EXPECT_EQ(out.count(4), 0u);
-}
-
-TEST(SwissAccumulator, ProbeWalksPastTombstoneOnItsPath) {
-  // A key whose probe path passed through a slot that is later erased
-  // must still be found: tombstones terminate nothing.
-  simd::SwissAccumulator acc(1);  // 2 groups of 16
-  for (lnkey_t k = 0; k < 20; ++k) acc.accumulate(k * 77, 1.0);
-  for (lnkey_t k = 0; k < 20; k += 2) EXPECT_TRUE(acc.erase(k * 77));
-  for (lnkey_t k = 1; k < 20; k += 2) {
-    acc.accumulate(k * 77, 1.0);  // now 2.0 — must find, not duplicate
-  }
-  std::map<lnkey_t, value_t> out;
-  acc.drain([&](lnkey_t k, value_t v) { out[k] = v; });
-  EXPECT_EQ(out.size(), 10u);
-  for (lnkey_t k = 1; k < 20; k += 2) {
-    EXPECT_DOUBLE_EQ(out[k * 77], 2.0) << "key " << k * 77;
-  }
-}
-
-TEST(SwissAccumulator, TombstoneSlotIsReused) {
-  simd::SwissAccumulator acc(16);
-  for (lnkey_t k = 0; k < 8; ++k) acc.accumulate(k, 1.0);
-  const std::size_t buckets = acc.num_buckets();
-  EXPECT_TRUE(acc.erase(3));
-  // Erase + reinsert cycles must not inflate occupancy into a rehash.
-  for (int cycle = 0; cycle < 100; ++cycle) {
-    acc.accumulate(3, 1.0);
-    EXPECT_TRUE(acc.erase(3));
-  }
-  EXPECT_EQ(acc.num_buckets(), buckets);
-  EXPECT_EQ(acc.size(), 7u);
-}
-
-TEST(SwissAccumulator, GrowthDropsTombstonesAndKeepsValues) {
-  simd::SwissAccumulator acc(1);
-  std::map<lnkey_t, value_t> expected;
-  Rng rng(23);
-  for (int i = 0; i < 3000; ++i) {
-    const lnkey_t key = rng() % 400;
-    if (expected.count(key) != 0 && rng() % 3 == 0) {
-      EXPECT_TRUE(acc.erase(key));
-      expected.erase(key);
-    } else {
-      acc.accumulate(key, 1.0);
-      expected[key] += 1.0;
-    }
-  }
-  EXPECT_EQ(acc.size(), expected.size());
-  std::map<lnkey_t, value_t> out;
-  acc.drain([&](lnkey_t k, value_t v) { out[k] = v; });
-  EXPECT_EQ(out, expected);
-}
-
 TEST(SwissAccumulator, ClearKeepsCapacity) {
   simd::SwissAccumulator acc(16);
   for (lnkey_t k = 0; k < 100; ++k) acc.accumulate(k, 1.0);
-  const std::size_t buckets = acc.num_buckets();
+  const std::size_t slots = acc.num_slots();
   acc.clear();
   EXPECT_TRUE(acc.empty());
-  EXPECT_EQ(acc.num_buckets(), buckets);
+  EXPECT_EQ(acc.num_slots(), slots);
+  // A reused slot must not leak the value it held before clear().
   acc.accumulate(5, 2.0);
   EXPECT_EQ(acc.size(), 1u);
+  acc.drain([&](lnkey_t k, value_t v) {
+    EXPECT_EQ(k, 5u);
+    EXPECT_DOUBLE_EQ(v, 2.0);
+  });
+}
+
+TEST(SwissAccumulator, MatchesMapOracleOnRandomStream) {
+  Rng rng(99);
+  simd::SwissAccumulator acc(64);
+  std::map<lnkey_t, value_t> oracle;
+  for (int i = 0; i < 50'000; ++i) {
+    const lnkey_t k = rng.uniform(2000);
+    const value_t v = rng.uniform_double(-1.0, 1.0);
+    acc.accumulate(k, v);
+    oracle[k] += v;
+  }
+  EXPECT_EQ(acc.size(), oracle.size());
+  acc.drain([&](lnkey_t k, value_t v) {
+    ASSERT_TRUE(oracle.count(k));
+    EXPECT_NEAR(v, oracle[k], 1e-9);
+  });
+}
+
+TEST(SwissAccumulator, SurvivesHeavyCollisions) {
+  // Multiples of 2^40 all hash to tag 0, so every full slot of a probed
+  // group matches the tag: probes must fall back to the key compare and
+  // never merge distinct keys.
+  simd::SwissAccumulator acc(1);
+  for (lnkey_t k = 0; k < 5000; ++k) acc.accumulate(k << 40, 1.0);
+  for (lnkey_t k = 0; k < 5000; ++k) acc.accumulate(k << 40, 1.0);
+  EXPECT_EQ(acc.size(), 5000u);
+  acc.drain([&](lnkey_t, value_t v) { EXPECT_DOUBLE_EQ(v, 2.0); });
+}
+
+TEST(SwissAccumulator, GrowsPastInitialCapacity) {
+  simd::SwissAccumulator acc(4);  // tiny: must grow many times
+  const std::size_t initial_slots = acc.num_slots();
+  for (lnkey_t k = 0; k < 10'000; ++k) acc.accumulate(k, 1.0);
+  EXPECT_EQ(acc.size(), 10'000u);
+  EXPECT_EQ(acc.num_slots(), simd::swiss_slots_for(10'000));
+  EXPECT_GT(acc.num_slots(), initial_slots);
+  std::size_t visited = 0;
+  acc.drain([&](lnkey_t, value_t v) {
+    EXPECT_DOUBLE_EQ(v, 1.0);
+    ++visited;
+  });
+  EXPECT_EQ(visited, 10'000u);
+}
+
+TEST(SwissAccumulator, KeyZeroIsUsable) {
+  // LN key 0 is a legal, common key (all-zero free indices).
+  simd::SwissAccumulator acc(8);
+  acc.accumulate(0, 1.0);
+  acc.accumulate(0, 2.0);
+  EXPECT_EQ(acc.size(), 1u);
+  acc.drain([&](lnkey_t k, value_t v) {
+    EXPECT_EQ(k, 0u);
+    EXPECT_DOUBLE_EQ(v, 3.0);
+  });
+}
+
+TEST(SwissAccumulator, MultithreadedSpartaMatchesReference) {
+  PairedSpec ps;
+  ps.x.dims = {40, 30, 20};
+  ps.x.nnz = 2000;
+  ps.y.dims = {40, 25, 18};
+  ps.y.nnz = 1800;
+  ps.num_contract_modes = 1;
+  ps.match_fraction = 0.8;
+  const TensorPair pair = generate_contraction_pair(ps);
+  ContractOptions o;
+  o.num_threads = 4;
+  const SparseTensor z = contract_tensor(pair.x, pair.y, {0}, {0}, o);
+  const SparseTensor ref = contract_reference(pair.x, pair.y, {0}, {0});
+  EXPECT_TRUE(SparseTensor::approx_equal(z, ref, 1e-9));
 }
 
 // --- budget integration ---------------------------------------------
@@ -237,15 +275,14 @@ TEST(SwissBudget, SwissContractionChargesAndRespectsBudget) {
 
   ContractOptions o;
   o.algorithm = Algorithm::kSparta;
-  o.use_swiss_tables = true;
 
   // Generous budget: must succeed and report a nonzero charged HtY.
   o.budget.bytes = std::size_t{1} << 30;
   const ContractResult ok = contract(x, y, {1}, {0}, o);
   EXPECT_GT(ok.stats.hty_bytes, 0u);
 
-  // Tiny budget: the swiss path must trip the same BudgetExceeded gates
-  // as the chained one, not quietly allocate past the cap.
+  // Tiny budget: the tables must trip the BudgetExceeded gates, not
+  // quietly allocate past the cap.
   o.budget.bytes = 1024;
   EXPECT_THROW((void)contract(x, y, {1}, {0}, o), BudgetExceeded);
 }
